@@ -12,7 +12,7 @@ from __future__ import annotations
 from conftest import write_output
 
 from repro.bench.workload import generate_workload
-from repro.bench.simulation import make_chain
+from repro.chain import make_chain
 from repro.core.contract import build_pol_program, pol_record
 from repro.reach.compiler import compile_program
 from repro.reach.runtime import ReachClient

@@ -466,12 +466,6 @@ class BaseChain:
         self._admission_seq = 0
         self._eligible: dict[int, list[tuple[tuple[int, float, int], _MempoolEntry]]] = {}
         self._ready: list[tuple[tuple[int, float, int], _MempoolEntry]] = []
-        #: settle every receipt of a block through one slot event instead
-        #: of one heap entry per receipt; firing order and per-receipt
-        #: confirmation timestamps are identical either way (see
-        #: EventQueue.schedule_slot), so this stays on by default -- the
-        #: parity test flips it off to cross-check.
-        self.batch_settlement = True
         self._receipt_watchers: dict[str, list[Callable[[Receipt], None]]] = {}
         self._observed_nonces: dict[str, int] = {}
         # Per-sender next includable nonce: inclusion is gated so a
@@ -895,7 +889,6 @@ class BaseChain:
         included: list[Transaction] = []
         leftover: list[tuple[tuple[int, float, int], _MempoolEntry]] = []
         pending_confirms: list[tuple[float, Callable[[], Any]]] = []
-        batch = self.batch_settlement
         mempool = self._mempool
         gas_budget = self.profile.block_gas_limit
         next_nonce = self._next_included_nonce
@@ -936,14 +929,11 @@ class BaseChain:
                 metrics.fee_paid.observe(
                     receipt.fee_paid, span.trace_id if span is not None else None
                 )
-            if batch:
-                delay, confirm = self._confirmation_entry(receipt)
-                if delay <= 0:
-                    confirm()
-                else:
-                    pending_confirms.append((delay, confirm))
+            delay, confirm = self._confirmation_entry(receipt)
+            if delay <= 0:
+                confirm()
             else:
-                self._schedule_confirmation(receipt)
+                pending_confirms.append((delay, confirm))
         self._ready = leftover
         if pending_confirms:
             # One heap-resident slot settles the whole block's receipts;
@@ -972,9 +962,8 @@ class BaseChain:
     def _confirmation_entry(self, receipt: Receipt) -> tuple[float, Callable[[], None]]:
         """The (delay, callback) pair that settles one receipt.
 
-        Sampling the provider overhead happens here, in inclusion order,
-        so the batched and per-event settlement paths draw identical
-        delay sequences from the latency model.
+        The provider overhead is sampled here, in inclusion order; the
+        block's slot event then fires each callback at its own delay.
         """
         delay = self.profile.confirmation_depth * self.profile.block_time + self._overhead.sample().total
 
@@ -983,13 +972,6 @@ class BaseChain:
             self._notify_confirmed(receipt)
 
         return delay, confirm
-
-    def _schedule_confirmation(self, receipt: Receipt) -> None:
-        delay, confirm = self._confirmation_entry(receipt)
-        if delay <= 0:
-            confirm()
-        else:
-            self.queue.schedule(delay, confirm, label="confirm")
 
     # -- internal value movement ----------------------------------------------
 
@@ -1028,6 +1010,32 @@ def drive(
             raise ChainError(
                 _stall_report(f"condition not reached within {max_steps} steps", queue, chain)
             )
+
+
+def drain(chain: "BaseChain", handles: list, max_steps: int = 200_000) -> None:
+    """Drive ``chain``'s queue until every handle in ``handles`` settles.
+
+    Works for any handle with ``add_done_callback`` (tx or operation
+    handles).  A countdown settled by done-callbacks keeps the drive
+    predicate O(1); polling ``all(h.done ...)`` per event step is O(n)
+    and turns large waves quadratic.  The step budget grows with the
+    wave: at least ``max_steps``, or 100 steps per handle.
+    """
+    if not handles:
+        return
+    remaining = [len(handles)]
+
+    def settled(_handle: Any) -> None:
+        remaining[0] -= 1
+
+    for handle in handles:
+        handle.add_done_callback(settled)
+    drive(
+        chain.queue,
+        lambda: remaining[0] <= 0,
+        max_steps=max(max_steps, 100 * len(handles)),
+        chain=chain,
+    )
 
 
 def _stall_report(reason: str, queue: EventQueue, chain: "BaseChain | None") -> str:

@@ -7,19 +7,21 @@ IPFS, DID registry, Certification Authority, and the Bluetooth channel.
 The three flows map to the thesis's sequence diagrams:
 
 - :meth:`request_location_proof` -- figure 2.5 (prover <-> witness);
-- :meth:`submit` -- figure 2.3 (hypercube lookup, deploy-or-attach,
+- :meth:`submit_many` -- figure 2.3 (hypercube lookup, deploy-or-attach,
   data insert into the contract);
-- :meth:`verify_and_reward` -- figure 2.6 (verifier reads the Map,
-  checks eq. 2.2, rewards the prover, garbage-in to the hypercube).
+- :meth:`verify_many` -- figure 2.6 (verifier reads the Map, checks
+  eq. 2.2, rewards the prover, garbage-in to the hypercube).
+
+Each flow has one pipelined implementation: :meth:`submit` and
+:meth:`verify_and_reward` are one-item waves of the many-variants.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.chain.base import Account, BaseChain, drive
+from repro.chain.base import Account, BaseChain, drain
 from repro.did.registry import DidRegistry
 from repro.dht.hypercube import HypercubeDHT
 from repro.obs.monitor import NULL_WATCHTOWER
@@ -35,45 +37,6 @@ from repro.core.proof import LocationProof, ProofFailure, ProofRequest
 
 class PolSystemError(Exception):
     """A facade-level failure (unknown user, missing contract...)."""
-
-
-def _drain(chain: BaseChain, handles: list[OpHandle]) -> None:
-    """Drive the chain's queue until every handle settles.
-
-    A countdown settled by done-callbacks keeps the drive predicate
-    O(1); polling ``all(h.done ...)`` per event step is O(n) and turns
-    large waves quadratic.
-    """
-    if not handles:
-        return
-    remaining = [len(handles)]
-
-    def settled(_handle: OpHandle) -> None:
-        remaining[0] -= 1
-
-    for handle in handles:
-        handle.add_done_callback(settled)
-    drive(
-        chain.queue,
-        lambda: remaining[0] <= 0,
-        max_steps=max(200_000, 100 * len(handles)),
-        chain=chain,
-    )
-
-
-def __getattr__(name: str) -> Any:
-    # Deprecated alias, kept for one release: the class used to shadow
-    # the awkwardly-underscored name.  New code should catch
-    # PolSystemError; the module-level __getattr__ keeps old imports
-    # working while warning on every access.
-    if name == "SystemError_":
-        warnings.warn(
-            "SystemError_ is deprecated; catch PolSystemError instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return PolSystemError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -360,11 +323,8 @@ class ProofOfLocationSystem:
     # -- figure 2.3: hypercube lookup + deploy-or-attach -------------------------------
 
     def submit(self, prover_name: str, request: ProofRequest, proof: LocationProof) -> SubmissionOutcome:
-        """Store the proof record in the location's contract."""
-        pending = self.submit_async(prover_name, request, proof)
-        pending.handle.wait()
-        self.provers[prover_name].settle_submissions()
-        return pending.outcome()
+        """Store the proof record in the location's contract (a one-item wave)."""
+        return self.submit_many([(prover_name, request, proof)])[0]
 
     def submit_async(self, prover_name: str, request: ProofRequest, proof: LocationProof) -> PendingSubmission:
         """Start a submission without blocking on confirmations.
@@ -377,60 +337,41 @@ class ProofOfLocationSystem:
           got there first) -> attach scheduled behind that deploy;
         - fresh location -> deploy; the hypercube registration runs in
           the deploy's confirmation callback.
+
+        With a live recorder the call opens the journey's ``proof:submit``
+        span; with a watchtower the proof is tracked *before* the chain
+        side starts and resolved only when its transaction settles
+        cleanly -- a submission that errors (or never lands) stays
+        tracked and trips the ``proof_liveness`` invariant.
         """
         recorder = self.chain.recorder
         watchtower = self.watchtower if self.watchtower.enabled else self.chain.watchtower
-        if not recorder.enabled:
-            if watchtower.enabled:
-                return self._monitored_submission(prover_name, request, proof, watchtower, "")
+        if not (recorder.enabled or watchtower.enabled):
             return self._start_submission(prover_name, request, proof)
+        key = (request.olc, self.provers[prover_name].did_uint)
         root = self._journey_roots.pop((prover_name, request.nonce), None)
         span = recorder.span(
             "proof:submit", track=f"prover:{prover_name}", cat="proof",
             olc=request.olc, parent=root,
         )
+        watchtower.track_proof(key, span.trace_id)
         # Activating the submit span around the pipelined start makes the
         # op/tx spans of the ceremony its children; the done callback is
         # where the journey's chain phase actually closes.
         with recorder.activate(span.context):
-            if watchtower.enabled:
-                submission = self._monitored_submission(
-                    prover_name, request, proof, watchtower, span.trace_id
-                )
-            else:
-                submission = self._start_submission(prover_name, request, proof)
-        prover = self.provers[prover_name]
-        self._journey_records[(request.olc, prover.did_uint)] = (
-            root if root is not None else span.context
-        )
-        submission.handle.add_done_callback(
-            lambda settled: span.end(
+            submission = self._start_submission(prover_name, request, proof)
+        if recorder.enabled:
+            self._journey_records[key] = root if root is not None else span.context
+
+        def settle(settled: OpHandle) -> None:
+            if settled.error is None:
+                watchtower.resolve_proof(key)
+            span.end(
                 error=type(settled.error).__name__ if settled.error is not None else "",
                 was_deploy=submission.was_deploy,
             )
-        )
-        return submission
 
-    def _monitored_submission(
-        self, prover_name: str, request: ProofRequest, proof: LocationProof,
-        watchtower: Any, trace_id: str,
-    ) -> PendingSubmission:
-        """Start a submission under the watchtower's liveness tracking.
-
-        The proof is tracked *before* the chain side starts and resolved
-        only when its transaction settles cleanly -- a submission that
-        errors (or never lands) stays tracked and trips the
-        ``proof_liveness`` invariant.
-        """
-        key = (request.olc, self.provers[prover_name].did_uint)
-        watchtower.track_proof(key, trace_id)
-        submission = self._start_submission(prover_name, request, proof)
-
-        def resolve(settled) -> None:
-            if settled.error is None:
-                watchtower.resolve_proof(key)
-
-        submission.handle.add_done_callback(resolve)
+        submission.handle.add_done_callback(settle)
         return submission
 
     def _start_submission(self, prover_name: str, request: ProofRequest, proof: LocationProof) -> PendingSubmission:
@@ -488,7 +429,7 @@ class ProofOfLocationSystem:
         bench harness's concurrent mode.
         """
         pending = [self.submit_async(name, request, proof) for name, request, proof in submissions]
-        _drain(self.chain, [p.handle for p in pending])
+        drain(self.chain, [p.handle for p in pending])
         for prover_name, request, _ in submissions:
             tracker = self.provers.get(prover_name)
             if tracker is not None:
@@ -632,7 +573,7 @@ class ProofOfLocationSystem:
             )
             for olc, amount in amounts.items()
         }
-        _drain(self.chain, list(handles.values()))
+        drain(self.chain, list(handles.values()))
         results: dict[str, OpResult] = {}
         for olc, handle in handles.items():
             if handle.error is not None:
@@ -641,27 +582,9 @@ class ProofOfLocationSystem:
         return results
 
     def verify_and_reward(self, verifier_name: str, olc: str, did_uint: int) -> ProofFailure:
-        """Read the record, check the proof, reward, feed the hypercube."""
-        verifier = self.verifiers.get(verifier_name)
-        if verifier is None:
-            raise PolSystemError(f"{verifier_name!r} is not an accredited verifier")
-        recorder = self.chain.recorder
-        journey = self._journey_records.pop((olc, did_uint), None) if recorder.enabled else None
-        with recorder.span(
-            "proof:verify", track=f"verifier:{verifier_name}", cat="proof",
-            olc=olc, did=did_uint, parent=journey,
-        ) as span, recorder.activate(span.context):
-            return self._verify_and_reward(verifier, verifier_name, olc, did_uint)
-
-    def _verify_and_reward(
-        self, verifier: Verifier, verifier_name: str, olc: str, did_uint: int
-    ) -> ProofFailure:
-        outcome, handle, cid = self._start_verify(verifier, verifier_name, olc, did_uint)
-        if handle is None:
-            return outcome
-        handle.wait()
-        self._publish_verified(verifier_name, olc, cid)
-        return ProofFailure.OK
+        """Read the record, check the proof, reward, feed the hypercube
+        (a one-item :meth:`verify_many` wave)."""
+        return self.verify_many(verifier_name, [(olc, did_uint)])[0]
 
     def _start_verify(
         self, verifier: Verifier, verifier_name: str, olc: str, did_uint: int
@@ -729,7 +652,7 @@ class ProofOfLocationSystem:
             pass  # already gone (nothing to pin) or already replicated
 
     def verify_many(self, verifier_name: str, targets: list[tuple[str, int]]) -> list[ProofFailure]:
-        """Pipeline :meth:`verify_and_reward` across many records.
+        """Check, reward and publish many records in one pipelined wave.
 
         Each record's off-chain checks run up front (they read state the
         submission wave already settled), every accepted record's
@@ -766,13 +689,15 @@ class ProofOfLocationSystem:
                 def finish(settled: OpHandle, *, span=span, olc=olc, cid=cid) -> None:
                     # Runs under span.context (add_done_callback re-activates
                     # the registration-time trace context).
-                    if settled.error is None:
-                        self._publish_verified(verifier_name, olc, cid)
+                    if settled.error is not None:
+                        span.end(error=type(settled.error).__name__)
+                        return
+                    self._publish_verified(verifier_name, olc, cid)
                     span.end()
 
                 handle.add_done_callback(finish)
                 pending.append(handle)
-        _drain(self.chain, pending)
+        drain(self.chain, pending)
         for handle in pending:
             if handle.error is not None:
                 raise handle.error

@@ -1,10 +1,16 @@
 """Pipelined submission paths through the PoL system facade."""
 
+import itertools
+
 import pytest
 
+from repro.chain import make_chain
 from repro.chain.ethereum import EthereumChain
 from repro.core.factory import FactoryError
+from repro.core.proof import ProofFailure
 from repro.core.system import PolSystemError, ProofOfLocationSystem
+from repro.obs import Recorder
+from repro.obs.analysis import reconstruct_journeys, validate_journeys
 
 FUNDING = 10**18
 LAT, LNG = 44.4949, 11.3426
@@ -28,25 +34,6 @@ def proof_for(system, prover_name):
 
 
 class TestErrorRename:
-    def test_alias_is_the_same_class(self):
-        """The deprecated trailing-underscore name must keep working."""
-        import repro.core.system as system_module
-
-        with pytest.warns(DeprecationWarning, match="SystemError_ is deprecated"):
-            alias = system_module.SystemError_
-        assert alias is PolSystemError
-
-    def test_alias_import_warns(self):
-        """`from ... import SystemError_` resolves through __getattr__ too."""
-        with pytest.warns(DeprecationWarning, match="SystemError_ is deprecated"):
-            from repro.core.system import SystemError_  # noqa: F401
-
-    def test_old_handlers_still_catch(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.core.system import SystemError_
-        with pytest.raises(SystemError_):
-            raise PolSystemError("caught through the alias")
-
     def test_other_missing_attributes_still_raise(self):
         import repro.core.system as system_module
 
@@ -110,3 +97,83 @@ class TestSubmitMany:
         system.factory.deploy_instance_async(request.olc, account, 1, "data")
         with pytest.raises(FactoryError, match="in flight"):
             system.factory.deploy_instance_async(request.olc, account, 2, "data")
+
+
+class TestOneItemWaves:
+    """The serial facade calls are one-item waves of the pipelined path.
+
+    Two systems built alike on the same seeded testnet, one driven
+    through ``submit``/``verify_and_reward`` and one through one-item
+    ``submit_many``/``verify_many`` calls, must end in the same state.
+    Witness nonces come from ``secrets``; they are pinned so both
+    systems sign byte-identical records.
+    """
+
+    NETWORKS = ["goerli", "algorand-testnet"]
+
+    @pytest.fixture
+    def build(self, monkeypatch):
+        def build(network, recorder=None):
+            nonces = itertools.count(1_000_003)
+            monkeypatch.setattr("repro.core.actors.secrets.randbelow", lambda _bound: next(nonces))
+            chain = make_chain(network, seed=7, recorder=recorder)
+            funding = chain.profile.simulation_funding
+            system = ProofOfLocationSystem(chain=chain, reward=5_000, max_users=2)
+            system.register_prover("anna", LAT, LNG, funding=funding)
+            system.register_prover("bruno", LAT, LNG, funding=funding)
+            system.register_witness("walter", LAT, LNG + NEAR)
+            system.register_verifier("vera", funding=4 * funding)
+            return system
+
+        return build
+
+    @staticmethod
+    def run(system, serial):
+        outcomes = []
+        for name in ("anna", "bruno"):
+            request, proof = proof_for(system, name)
+            if serial:
+                outcomes.append(system.submit(name, request, proof))
+            else:
+                outcomes.append(system.submit_many([(name, request, proof)])[0])
+        olc = outcomes[0].olc
+        system.fund_contract("vera", olc, 10_000)
+        results = []
+        for name in ("anna", "bruno"):
+            did = system.provers[name].did_uint
+            if serial:
+                results.append(system.verify_and_reward("vera", olc, did))
+            else:
+                results.append(system.verify_many("vera", [(olc, did)])[0])
+        return outcomes, results
+
+    @pytest.mark.parametrize("network", NETWORKS)
+    def test_submit_matches_one_item_submit_many(self, build, network):
+        serial, _ = self.run(build(network), serial=True)
+        wave, _ = self.run(build(network), serial=False)
+        assert [o.was_deploy for o in serial] == [o.was_deploy for o in wave] == [True, False]
+        for one, other in zip(serial, wave):
+            assert one.olc == other.olc
+            assert one.deployed.ref == other.deployed.ref
+            assert one.operation.receipts == other.operation.receipts
+            assert one.operation.fees == other.operation.fees > 0
+
+    @pytest.mark.parametrize("network", NETWORKS)
+    def test_verify_and_reward_matches_one_item_verify_many(self, build, network):
+        serial_system = build(network)
+        serial_outcomes, serial_results = self.run(serial_system, serial=True)
+        wave_system = build(network)
+        _, wave_results = self.run(wave_system, serial=False)
+        assert serial_results == wave_results == [ProofFailure.OK, ProofFailure.OK]
+        olc = serial_outcomes[0].olc
+        shown = serial_system.display_reports(olc)
+        assert shown == wave_system.display_reports(olc)
+        assert sorted(shown) == [b"report by anna", b"report by bruno"]
+
+    @pytest.mark.parametrize("network", NETWORKS)
+    def test_serial_journey_validates(self, build, network):
+        recorder = Recorder()
+        self.run(build(network, recorder=recorder), serial=True)
+        report = reconstruct_journeys(recorder)
+        assert len(report.journeys) == 2
+        assert validate_journeys(report) == []

@@ -34,7 +34,6 @@ def test_all_examples_discovered():
         "multichain_comparison",
         "attack_gauntlet",
         "rpc_walkthrough",
-        "its_data_certification",
     } <= names
 
 
