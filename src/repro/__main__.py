@@ -263,7 +263,10 @@ def _cmd_analyze(args) -> int:
     ``obs.profiler`` stage) land in the point's ``profile`` block, the
     tail-latency bucket exemplars in ``latency_exemplars``, and
     ``--profiles DIR`` additionally writes collapsed-stack and
-    speedscope flamegraphs per point.  The run is *appended* to the
+    speedscope flamegraphs per point.  ``crypto_backend`` on each point
+    says whether the group arithmetic ran on the native extension
+    (``"native"``) or fell back (``"python: <reason>"``).  The run is
+    *appended* to the
     ``--bench`` history (git sha, seed, host in the run metadata) --
     compare runs with ``repro bench diff``.
     """
@@ -271,6 +274,7 @@ def _cmd_analyze(args) -> int:
     import time
 
     from repro.bench.simulation import run_traced_journeys
+    from repro.crypto.fastexp import crypto_backend
     from repro.obs import bench_summary, histogram_exemplars, render_report, validate_journeys
     from repro.obs.prof import Profiler, write_collapsed, write_speedscope
     from repro.obs.regress import append_run, run_meta
@@ -325,6 +329,7 @@ def _cmd_analyze(args) -> int:
                 "users": effective,
                 "batch_size": batch,
                 "kernel_seconds": round(kernel_seconds, 3),
+                "crypto_backend": crypto_backend(),
                 "sample_every": sample_every,
                 **summary,
                 "fees_per_proof_base_units": round(

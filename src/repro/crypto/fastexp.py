@@ -1,4 +1,4 @@
-"""Fixed-base exponentiation for the group generator.
+"""Modular exponentiation in the group: fixed-base ``g_pow``, any-base ``p_pow``.
 
 Profiling the proof-journey kernel shows modular exponentiation is the
 dominant cost at scale: every key derivation, Schnorr signature, and
@@ -16,17 +16,28 @@ Only bases that are reused thousands of times deserve a table (the
 8-bit table costs a few thousand modmuls to build, once per process);
 :func:`g_pow` maintains the one global table for ``G``.  Wider windows
 were measured and rejected: past 8 bits the table stops fitting in
-cache and lookup misses eat the saved multiplications.  Arbitrary
-bases (per-witness keys in signature verification) still go through
-builtin ``pow``.
+cache and lookup misses eat the saved multiplications.  Every other
+base modulo ``P`` -- VRF sortition's per-round elements, subgroup
+membership checks, keys without a known discrete log -- goes through
+:func:`p_pow`, one OpenSSL Montgomery modexp (~10x builtin ``pow``).
+
+Both run on the native extension (:mod:`repro.crypto.native`) when it
+builds, loads and matches the Python reference on a probe spread at
+first use; otherwise they run on the Python comb and builtin ``pow``
+respectively, with the reason recorded and warned about
+(:func:`crypto_backend`).  Results are identical either way.
 """
 
 from __future__ import annotations
 
+from typing import Callable, TypeVar
+
 from repro.crypto import group
 from repro.obs import prof as _prof
 
-__all__ = ["FixedBaseComb", "g_pow"]
+T = TypeVar("T")
+
+__all__ = ["FixedBaseComb", "crypto_backend", "g_pow", "p_pow"]
 
 #: default window width in bits; 8 trades a small one-time table build
 #: (21 teeth x 255 modmuls) for a fifth of the multiplications of
@@ -91,6 +102,24 @@ class FixedBaseComb:
 
 
 _G_COMB: FixedBaseComb | None = None
+#: ``(base, exponent) -> pow(base, exponent, group.P)``, bound at first use
+_P_POW: Callable[[int, int], int] | None = None
+
+
+def _trusted_native(primitive: str, make: Callable[[], T], agrees: Callable[[T], bool]) -> T | None:
+    """``make()``'s native primitive if it builds and ``agrees`` with the
+    Python reference, else None with the reason recorded (and warned)."""
+    from repro.crypto.native import fall_back
+
+    try:
+        candidate = make()
+        if agrees(candidate):
+            return candidate
+        reason = "cross-check against the Python path failed"
+    except RuntimeError as exc:  # NativeUnavailable, or a failed native call
+        reason = str(exc)
+    fall_back(primitive, reason)
+    return None
 
 
 def _make_g_comb() -> FixedBaseComb:
@@ -101,20 +130,41 @@ def _make_g_comb() -> FixedBaseComb:
     paths compute the identical function, so which one serves a given
     process is unobservable in results.
     """
-    reference = FixedBaseComb(group.G, group.P)
-    from repro.crypto.native import load_native_comb
+    from repro.crypto.native import NativeComb
 
-    native = load_native_comb(group.G, group.P)
-    if native is None:
-        return reference
+    reference = FixedBaseComb(group.G, group.P)
     probes = [0, 1, 2, group.Q - 1, group.Q // 2]
     probes += [pow(1000003, i, group.Q) for i in range(1, 9)]
-    try:
-        if all(native.pow(e) == reference.pow(e) for e in probes):
-            return native  # type: ignore[return-value]
-    except RuntimeError:
-        pass
-    return reference
+    native = _trusted_native(
+        "comb",
+        lambda: NativeComb(group.G, group.P),
+        lambda comb: all(comb.pow(e) == reference.pow(e) for e in probes),
+    )
+    return reference if native is None else native  # type: ignore[return-value]
+
+
+def _python_p_pow(base: int, exponent: int) -> int:
+    if base < 0 or exponent < 0:
+        raise ValueError("p_pow requires a non-negative base and exponent")
+    return pow(base, exponent, group.P)
+
+
+def _make_p_pow() -> Callable[[int, int], int]:
+    """``NativeModexp(P).pow`` once it matches builtin ``pow`` on a probe
+    spread (boundary bases, both generators, a hashed element; exponents
+    around the subgroup order and one past the 168-bit comb width), else
+    builtin ``pow``."""
+    from repro.crypto.native import NativeModexp
+
+    element = pow(group.H, 1000003, group.P)
+    probes = [(base, group.Q - 1) for base in (0, 1, 2, group.G, group.P - 1, group.P, group.P + 5)]
+    probes += [(element, e) for e in (0, 1, group.Q, group.Q + 1, 2**200 + 3)]
+    native = _trusted_native(
+        "modexp",
+        lambda: NativeModexp(group.P),
+        lambda modexp: all(modexp.pow(b, e) == pow(b, e, group.P) for b, e in probes),
+    )
+    return _python_p_pow if native is None else native.pow
 
 
 def g_pow(exponent: int) -> int:
@@ -140,3 +190,43 @@ def g_pow(exponent: int) -> int:
         return comb.pow(exponent % group.Q)
     finally:
         profiler.exit()
+
+
+def p_pow(base: int, exponent: int) -> int:
+    """``pow(base, exponent, group.P)`` for any non-negative base and exponent.
+
+    No reduction of the exponent: the base need not lie in the
+    subgroup (:func:`repro.crypto.group.is_group_element` raises an
+    arbitrary value to ``Q`` to find out).  Negative arguments raise
+    :class:`ValueError` on either backend.
+
+    Under an ambient profiler every call is the ``crypto.modexp`` stage.
+    """
+    global _P_POW
+    modexp = _P_POW
+    if modexp is None:
+        modexp = _P_POW = _make_p_pow()
+    profiler = _prof.ACTIVE
+    if not profiler.enabled:
+        return modexp(base, exponent)
+    profiler.enter("crypto.modexp")
+    try:
+        return modexp(base, exponent)
+    finally:
+        profiler.exit()
+
+
+def crypto_backend() -> str:
+    """``"native"`` when both primitives run on the extension in this
+    process, else ``"python: <primitive>: <reason>[; ...]"``.
+
+    Binds both primitives first, so the answer does not depend on which
+    one a run happened to use.
+    """
+    from repro.crypto.native import FALLBACKS
+
+    g_pow(1)
+    p_pow(1, 1)
+    if not FALLBACKS:
+        return "native"
+    return "python: " + "; ".join(f"{name}: {why}" for name, why in sorted(FALLBACKS.items()))

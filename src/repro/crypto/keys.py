@@ -16,7 +16,7 @@ import secrets
 from dataclasses import dataclass
 
 from repro.crypto import group
-from repro.crypto.fastexp import g_pow
+from repro.crypto.fastexp import g_pow, p_pow
 from repro.crypto.hashing import sha256, tagged_hash
 from repro.obs import prof as _prof
 
@@ -49,8 +49,9 @@ _shared_here: dict[tuple[int, int], int] = {}
 
 _DLOG_CAP = 1 << 20
 #: discrete logs of keys this process generated: y -> x with y == g**x.
-#: Knowing x turns every variable-base ``pow(y, e, P)`` into one
-#: fixed-base comb pow ``g**(x*e mod q)`` -- same value, ~10x cheaper.
+#: Knowing x turns every variable-base ``p_pow(y, e)`` into one
+#: fixed-base comb pow ``g**(x*e mod q)`` -- same value, several times
+#: cheaper even than the native modexp.
 #: Keys parsed from wire bytes are absent and take the generic path.
 _dlog_here: dict[int, int] = {}
 
@@ -136,7 +137,7 @@ class PublicKey:
             # g**s * y**(q-e) == g**(s + x*(q-e) mod q): one comb pow
             r = g_pow((signature.s + x * (group.Q - signature.e)) % group.Q)
         else:
-            r = (g_pow(signature.s) * pow(self.y, group.Q - signature.e, group.P)) % group.P
+            r = (g_pow(signature.s) * p_pow(self.y, group.Q - signature.e)) % group.P
         e = _challenge(r, self.y, message)
         return e == signature.e
 
@@ -150,7 +151,7 @@ class PublicKey:
         k = secrets.randbelow(group.Q - 1) + 1
         c1 = g_pow(k)
         x = _dlog_here.get(self.y)
-        shared = g_pow((x * k) % group.Q) if x is not None else pow(self.y, k, group.P)
+        shared = g_pow((x * k) % group.Q) if x is not None else p_pow(self.y, k)
         if len(_shared_here) >= _SHARED_CAP:
             _shared_here.clear()
         _shared_here[(self.y, c1)] = shared
@@ -222,7 +223,7 @@ class KeyPair:
         if shared is None:
             if not group.is_group_element(c1):
                 raise ValueError("ciphertext header is not a valid group element")
-            shared = pow(c1, self.x, group.P)
+            shared = p_pow(c1, self.x)
         return _xor_stream(shared, c2)
 
 

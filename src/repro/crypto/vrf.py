@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto import group
-from repro.crypto.fastexp import g_pow
+from repro.crypto.fastexp import g_pow, p_pow
 from repro.crypto.hashing import tagged_hash
 from repro.crypto.keys import KeyPair, PublicKey
 
@@ -74,13 +74,13 @@ class VRFKeyPair:
         x = self.keypair.x
         if base is None:
             base = group.hash_to_group(message)
-        gamma = pow(base, x, group.P)
+        gamma = p_pow(base, x)
         # Chaum-Pedersen: prove log_G(y) == log_base(gamma) without revealing x.
         k = int.from_bytes(tagged_hash("repro/vrf-nonce", x.to_bytes(32, "big"), message), "big") % group.Q
         if k == 0:
             k = 1
         a1 = g_pow(k)  # fixed-base comb; == pow(group.G, k, group.P)
-        a2 = pow(base, k, group.P)
+        a2 = p_pow(base, k)
         c = _dleq_challenge(self.public.y, base, gamma, a1, a2, message)
         s = (k + c * x) % group.Q
         return VRFProof(gamma=gamma, c=c, s=s)
@@ -97,7 +97,7 @@ class VRFKeyPair:
         """
         if base is None:
             base = group.hash_to_group(message)
-        gamma = pow(base, self.keypair.x, group.P)
+        gamma = p_pow(base, self.keypair.x)
         return tagged_hash("repro/vrf-output", gamma.to_bytes(128, "big"))
 
 
@@ -112,8 +112,8 @@ def verify_vrf(public: PublicKey, message: bytes, proof: VRFProof) -> bytes:
         raise VRFError("proof scalars out of range")
     base = group.hash_to_group(message)
     neg_c = group.Q - (proof.c % group.Q)
-    a1 = (pow(group.G, proof.s, group.P) * pow(public.y, neg_c, group.P)) % group.P
-    a2 = (pow(base, proof.s, group.P) * pow(proof.gamma, neg_c, group.P)) % group.P
+    a1 = (g_pow(proof.s) * p_pow(public.y, neg_c)) % group.P
+    a2 = (p_pow(base, proof.s) * p_pow(proof.gamma, neg_c)) % group.P
     c = _dleq_challenge(public.y, base, proof.gamma, a1, a2, message)
     if c != proof.c:
         raise VRFError("DLEQ transcript mismatch")

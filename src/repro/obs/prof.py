@@ -3,8 +3,8 @@
 The benchmark trajectory (``BENCH_pol.json``) records *that* a 10k-user
 campaign took N kernel seconds; this module records *where* those
 seconds went.  Instrumented sections of the kernel -- event dispatch,
-mempool eligibility scheduling, VM execution, crypto signing and comb
-exponentiation, DHT operations, and the recorder's own bookkeeping --
+mempool eligibility scheduling, VM execution, crypto signing, comb and
+variable-base exponentiation, DHT operations, and the recorder's own bookkeeping --
 enter and exit named **stages** on a :class:`Profiler`, which attributes
 **self time** (elapsed minus time spent in nested stages) on two axes:
 
