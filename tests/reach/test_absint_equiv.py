@@ -56,24 +56,46 @@ class TestSeededMutationsAreCaught:
         mutated = replace(pol, evm_code=neutralize_evm_sstore(pol.evm_code, 2), _lint=None)
         assert check_equivalence(mutated)
 
-    def test_observable_teal_stores_are_load_bearing(self, crowdfunding):
-        # Drop each store in turn.  Stores of zero are legitimately
-        # unobservable (absent keys read back as zero on both
-        # backends), but every store of a nonzero value must be caught.
-        caught, total = [], 0
+    @pytest.mark.parametrize(
+        ("contract", "mutation", "total", "expected"),
+        [
+            ("pol", "drop_teal_store", 29, {0, 2, 3, 5, *range(7, 16), 23, 24, 25, 28}),
+            ("pol", "neutralize_evm_sstore", 30, {0, 2, 3, 5, *range(7, 16), 23, 24, 25, 29}),
+            ("crowdfunding", "drop_teal_store", 18, {1, 2, 3, *range(5, 14), 17}),
+            ("crowdfunding", "neutralize_evm_sstore", 19, {1, 2, 3, *range(5, 14), 18}),
+        ],
+        ids=["pol-teal", "pol-evm", "crowdfunding-teal", "crowdfunding-evm"],
+    )
+    def test_observable_teal_stores_are_load_bearing(
+        self, request, contract, mutation, total, expected
+    ):
+        # Drop each store in turn and pin exactly which mutants the
+        # vectors catch.  Stores of zero are legitimately unobservable
+        # (absent keys read back as zero on both backends); every store
+        # of a nonzero value must be caught.
+        compiled = request.getfixturevalue(contract)
+        caught, index = set(), 0
         while True:
             try:
-                mutated_teal = drop_teal_store(crowdfunding.teal_source, total)
+                if mutation == "drop_teal_store":
+                    mutated = replace(
+                        compiled,
+                        teal_source=drop_teal_store(compiled.teal_source, index),
+                        _lint=None,
+                    )
+                else:
+                    mutated = replace(
+                        compiled,
+                        evm_code=neutralize_evm_sstore(compiled.evm_code, index),
+                        _lint=None,
+                    )
             except ValueError:
                 break
-            mutated = replace(crowdfunding, teal_source=mutated_teal, _lint=None)
             if check_equivalence(mutated):
-                caught.append(total)
-            total += 1
-        assert total >= 10
-        assert len(caught) >= (3 * total) // 4
-        # the nonzero constructor stores (goal, open, _creator) specifically
-        assert {1, 2, 3} <= set(caught)
+                caught.add(index)
+            index += 1
+        assert index == total
+        assert caught == expected
 
     def test_mutation_surfaces_as_lint_error(self, pol):
         mutated = replace(pol, teal_source=drop_teal_store(pol.teal_source, 0), _lint=None)
