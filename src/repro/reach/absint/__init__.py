@@ -11,12 +11,14 @@ and interval domains (:mod:`domains`), and three analyses on top:
 - :mod:`balance` -- interval tracking of the contract balance proving
   every ``transfer`` is funded by a dominating guard (the semantic
   upgrade of the verifier's syntactic ``_guards_cover_amount``);
-- :mod:`equiv` -- differential execution of the emitted EVM code and
-  TEAL over shared IR-derived vectors, diffing observable effects;
+- :mod:`equiv` -- differential replay of shared IR-derived vectors on
+  both emitted artifacts, diffing observable effects;
 - :mod:`modelcheck` -- bounded explicit-state protocol model checking:
   both artifacts executed over every adversarial interleaving (replays,
   front-run anchors, clock rushes, silent participants), proving the
   ``MC-SAFETY-*``/``MC-LIVE-*`` theorems or minimizing an ``MC-CEX``.
+
+Both run on one executor, the backend models of :mod:`modelcheck.exec`.
 
 :mod:`lint` aggregates everything into the findings report behind the
 ``repro lint`` CLI and the runtime's deploy gate.

@@ -1,23 +1,35 @@
 """Canonical encoding of observable contract state, shared by analyses.
 
-Both differential layers -- the per-vector equivalence check
+The differential layers -- the per-vector equivalence check
 (:mod:`repro.reach.absint.equiv`) and the protocol model checker
-(:mod:`repro.reach.absint.modelcheck`) -- must agree on what "the same
-state" means across connectors.  The EVM stores scalars as Python ints
-under ``g:<name>`` storage keys and Map entries under hashed slots; the
-AVM stores ``itob`` bytes in global state and Map entries in boxes.
-This module is the single place that flattens those representations to
-comparable bytes, so representation differences never count as state
-differences.
+(:mod:`repro.reach.absint.modelcheck`), both executing on the backend
+models of :mod:`repro.reach.absint.modelcheck.exec` -- must agree on
+what "the same state" means across connectors, and on when two
+compiled contracts are the same (:func:`artifact_key`).  The EVM
+stores scalars as Python ints under ``g:<name>`` storage keys and Map
+entries under hashed slots; the AVM stores ``itob`` bytes in global
+state and Map entries in boxes.  This module is the single place that
+flattens those representations to comparable bytes, so representation
+differences never count as state differences.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable
 
+from repro.chain.ethereum.evm import serialize_code
 from repro.crypto.hashing import sha256
 from repro.reach.absint.domains import U64_MAX
 from repro.reach.ir import IRContract
+
+
+def artifact_key(compiled: Any) -> bytes:
+    """Content hash of a compiled contract's two artifacts (a cache key)."""
+    return sha256(
+        serialize_code(compiled.evm_code)
+        + compiled.teal_source.encode()
+        + repr(sorted(compiled.evm_code.methods.items())).encode()
+    )
 
 
 def canon(value: Any) -> bytes:

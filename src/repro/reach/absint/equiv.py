@@ -1,6 +1,6 @@
-"""Cross-backend equivalence: differential execution of both artifacts.
+"""Cross-backend equivalence: differential replay of both artifacts.
 
-For every entry point, the emitted EVM code and the assembled TEAL run
+For every entry point, the emitted EVM code and the TEAL program run
 over a shared family of IR-derived vectors -- fresh state, active
 phase, seeded Map entries, wrong phase, pay mismatch, zero balance,
 extreme uints -- and their *observable* outcomes are diffed: accept or
@@ -8,6 +8,12 @@ reject, scalar state, Map entries, outgoing value transfers, emitted
 events, and the return value, all canonically encoded so connector
 representation differences (ints vs. ``itob`` bytes, boxes vs. hashed
 storage slots) never count as divergence.
+
+Each vector is a starting :class:`MCState` plus one
+:class:`ActionTemplate`, replayed on the model checker's backend models
+(:mod:`repro.reach.absint.modelcheck.exec`), so equivalence and the
+protocol sweep execute the artifacts through one executor and one
+storage layout.
 
 Any disagreement is a compile error (:class:`BackendDivergence`): the
 two backends would put real users in different states for the same
@@ -21,35 +27,30 @@ lost writes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
-from repro.crypto.hashing import sha256
-from repro.chain.algorand.avm import AVM, Application, AvmError, AvmPanic, CallContext
-from repro.chain.algorand.teal import TealSyntaxError, assemble
-from repro.chain.ethereum.evm import (
-    EVM,
-    EvmCode,
-    EvmContract,
-    Instr,
-    VMError,
-    VMRevert,
-    serialize_code,
-)
+from repro.chain.ethereum.evm import EvmCode, Instr
 from repro.reach.absint.domains import U64_MAX
-from repro.reach.absint.encode import (
-    avm_box_key as _avm_box_key,
-    canon as _canon,
-    evm_map_key as _evm_map_key,
-    is_absent as _is_absent,
-    scalar_names as _scalar_names,
+from repro.reach.absint.encode import artifact_key, canon, scalar_names
+from repro.reach.absint.modelcheck.exec import (
+    GENESIS,
+    BackendModel,
+    Events,
+    MCState,
+    StepResult,
+    make_models,
 )
-from repro.reach.ir import IRFunction
+from repro.reach.absint.modelcheck.universe import (
+    CREATOR,
+    DEPLOY,
+    OTHER,
+    ActionTemplate,
+    Universe,
+    action_kind,
+)
+from repro.reach.compiler import CompiledContract
+from repro.reach.ir import IRContract, IRFunction
 
-_CREATOR = "0x" + "ca" * 20
-_OTHER = "0x" + "0b" * 20
-_APP_ADDRESS = "0x" + "aa" * 20
-_GAS_LIMIT = 1_000_000_000
 _BALANCE = 1_000_000
 _SEEDED_KEYS = (1, 2)
 _SEEDED_VALUE = b"OLC9FX"
@@ -57,31 +58,8 @@ _SEEDED_VALUE = b"OLC9FX"
 #: artifact-content hash -> divergence list
 _CACHE: dict[bytes, list[str]] = {}
 
-
-@dataclass(frozen=True)
-class _Vector:
-    """One execution vector for one entry point."""
-
-    label: str
-    caller: str
-    value: int
-    args: tuple[Any, ...]
-    globals: tuple[tuple[str, Any], ...]  # scalar state before the call
-    seed_maps: bool
-    timestamp: int
-    balance: int
-
-
-@dataclass
-class _Outcome:
-    """Canonically-encoded observable effects of one run."""
-
-    status: str  # "ok" | "rejected" | "machine-error"
-    globals: dict[str, bytes]
-    maps: dict[tuple[int, int], bytes | None]
-    transfers: tuple
-    events: tuple
-    ret: bytes | None
+#: one execution vector: (label, state before the call, the call)
+_Vector = tuple[str, MCState, ActionTemplate]
 
 
 # -- vector construction -------------------------------------------------------
@@ -91,35 +69,29 @@ def _sample_arg(kind: str, extreme: bool) -> Any:
     if kind == "uint":
         return U64_MAX if extreme else 5
     if kind == "address":
-        return _OTHER
+        return OTHER
     return b"did:sample:42"
 
 
-def _make_args(function: IRFunction, extreme: bool = False) -> tuple:
+def _make_args(function: IRFunction, extreme: bool = False) -> tuple[Any, ...]:
     return tuple(_sample_arg(kind, extreme) for kind in function.params)
 
 
-def _vectors_for(function: IRFunction, ir) -> list[_Vector]:
+def _vectors_for(function: IRFunction, ir: IRContract) -> list[_Vector]:
     if function.name == "constructor":
-        return [
-            _Vector(
-                label="create",
-                caller=_CREATOR,
-                value=0,
-                args=(),
-                globals=(),
-                seed_maps=False,
-                timestamp=1_000,
-                balance=0,
-            )
-        ]
+        return [("create", GENESIS, DEPLOY)]
 
-    base_globals = [("_creator", _CREATOR), ("_deadline", 100)]
+    base_globals = [("_creator", CREATOR), ("_deadline", 100)]
     for gname, initial in ir.globals_init.items():
         base_globals.append((gname, initial))
-    active_globals = [("_creator", _CREATOR), ("_deadline", 100)]
+    active_globals = [("_creator", CREATOR), ("_deadline", 100)]
     for gname, initial in ir.globals_init.items():
         active_globals.append((gname, 3 if isinstance(initial, int) else initial))
+    seeded = tuple(
+        ((slot, key), _SEEDED_VALUE)
+        for slot in sorted(ir.map_slots.values())
+        for key in _SEEDED_KEYS
+    )
 
     phase = function.phase if function.phase is not None else 0
     args = _make_args(function)
@@ -132,29 +104,34 @@ def _vectors_for(function: IRFunction, ir) -> list[_Vector]:
     def vec(
         label: str,
         *,
-        caller: str = _OTHER,
+        caller: str = OTHER,
         value: int = value,
         args: tuple[Any, ...] = args,
         phase: int = phase,
         seed_maps: bool = False,
         balance: int = _BALANCE,
         timestamp: int = timestamp,
-        globals_base: tuple[tuple[str, Any], ...] | None = None,
+        globals_base: list[tuple[str, Any]] | None = None,
     ) -> _Vector:
-        scalars = list(globals_base if globals_base is not None else base_globals)
-        scalars.append(("_phase", phase))
-        return _Vector(
-            label=label,
-            caller=caller,
-            value=value,
-            args=args,
-            globals=tuple(scalars),
-            seed_maps=seed_maps,
-            timestamp=timestamp,
+        scalars = [*(globals_base or base_globals), ("_phase", phase)]
+        state = MCState(
+            scalars=tuple(sorted(scalars)),
+            maps=seeded if seed_maps else (),
             balance=balance,
+            now=timestamp,
         )
+        action = ActionTemplate(
+            name=function.name,
+            fn=function.name,
+            caller=caller,
+            args=args,
+            value=value,
+            phase=function.phase,
+            kind=action_kind(function.name),
+        )
+        return label, state, action
 
-    caller = _CREATOR if function.name == "publish0" else _OTHER
+    caller = CREATOR if function.name == "publish0" else OTHER
     vectors = [
         vec("fresh", caller=caller),
         vec("active", caller=caller, globals_base=active_globals),
@@ -163,7 +140,7 @@ def _vectors_for(function: IRFunction, ir) -> list[_Vector]:
         vec("zero-balance", caller=caller, balance=0),
     ]
     if function.name == "publish0":
-        vectors.append(vec("not-creator", caller=_OTHER))
+        vectors.append(vec("not-creator", caller=OTHER))
     if pay is not None:
         vectors.append(vec("pay-mismatch", caller=caller, value=value + 1))
     if any(kind == "uint" for kind in function.params):
@@ -175,196 +152,91 @@ def _vectors_for(function: IRFunction, ir) -> list[_Vector]:
     return vectors
 
 
-def _candidate_keys(vector: _Vector) -> list[int]:
-    keys = [key for key in vector.args if isinstance(key, int)]
+def _candidate_keys(action: ActionTemplate) -> list[int]:
+    keys = [key for key in action.args if isinstance(key, int)]
     keys.extend(_SEEDED_KEYS)
     return sorted(set(keys))
-
-
-# -- the EVM side --------------------------------------------------------------
-
-
-def _run_evm(code: EvmCode, function: IRFunction, ir, vector: _Vector) -> _Outcome:
-    contract = EvmContract(address=_APP_ADDRESS, code=code, creator=_CREATOR)
-    for gname, value in vector.globals:
-        contract.storage[b"g:" + gname.encode()] = value
-    if vector.seed_maps:
-        for slot in ir.map_slots.values():
-            for key in _SEEDED_KEYS:
-                contract.storage[_evm_map_key(slot, key)] = _SEEDED_VALUE
-    entry = code.init_entry if function.name == "constructor" else code.methods[function.name]
-    try:
-        result = EVM().execute(
-            contract,
-            entry=entry,
-            args=list(vector.args),
-            caller=vector.caller,
-            value=vector.value,
-            gas_limit=_GAS_LIMIT,
-            block_number=1,
-            timestamp=float(vector.timestamp),
-            self_balance=vector.balance,
-            intrinsic=0,
-        )
-    except VMRevert:
-        return _Outcome("rejected", {}, {}, (), (), None)
-    except VMError as error:
-        return _Outcome(f"machine-error: {error}", {}, {}, (), (), None)
-    overlay = dict(contract.storage)
-    overlay.update(result.storage_writes)
-    scalars = {
-        gname: _canon(overlay.get(b"g:" + gname.encode(), 0))
-        for gname in _scalar_names(ir)
-    }
-    maps: dict[tuple[int, int], bytes | None] = {}
-    for slot in ir.map_slots.values():
-        for key in _candidate_keys(vector):
-            value = overlay.get(_evm_map_key(slot, key), 0)
-            maps[(slot, key)] = None if _is_absent(value) else _canon(value)
-    events = tuple(
-        (event, tuple(_canon(item) for item in payload)) for event, payload in result.logs
-    )
-    ret = None
-    if function.ret_kind is not None and result.return_value is not None:
-        ret = _canon(result.return_value)
-    return _Outcome("ok", scalars, maps, tuple(result.transfers), events, ret)
-
-
-# -- the AVM side --------------------------------------------------------------
-
-
-def _run_avm(teal_source: str, function: IRFunction, ir, vector: _Vector) -> _Outcome:
-    try:
-        program = assemble(teal_source)
-    except TealSyntaxError as error:
-        return _Outcome(f"machine-error: {error}", {}, {}, (), (), None)
-    creating = function.name == "constructor"
-    app = Application(
-        app_id=0 if creating else 1,
-        approval=program,
-        creator=_CREATOR,
-        address=_APP_ADDRESS,
-    )
-    for gname, value in vector.globals:
-        app.global_state[b"g:" + gname.encode()] = value
-    if vector.seed_maps:
-        for slot in ir.map_slots.values():
-            for key in _SEEDED_KEYS:
-                app.boxes[_avm_box_key(slot, key)] = _SEEDED_VALUE
-    ctx = CallContext(
-        sender=vector.caller,
-        application_id=0 if creating else 1,
-        app_args=[] if creating else [function.name, *vector.args],
-        amount=vector.value,
-        round=1,
-        timestamp=float(vector.timestamp),
-        app_address=_APP_ADDRESS,
-        app_balance=vector.balance,
-        budget_pool=16,
-    )
-    try:
-        result = AVM().execute(app, ctx)
-    except AvmPanic:
-        return _Outcome("rejected", {}, {}, (), (), None)
-    except AvmError as error:
-        return _Outcome(f"machine-error: {error}", {}, {}, (), (), None)
-    overlay = dict(app.global_state)
-    overlay.update(result.global_writes)
-    for key in result.global_deletes:
-        overlay.pop(key, None)
-    scalars = {
-        gname: _canon(overlay.get(b"g:" + gname.encode(), 0))
-        for gname in _scalar_names(ir)
-    }
-    boxes = dict(app.boxes)
-    boxes.update(result.box_writes)
-    for key in result.box_deletes:
-        boxes.pop(key, None)
-    maps: dict[tuple[int, int], bytes | None] = {}
-    for slot in ir.map_slots.values():
-        for key in _candidate_keys(vector):
-            raw = boxes.get(_avm_box_key(slot, key))
-            maps[(slot, key)] = None if raw is None or _is_absent(raw) else raw
-    events, ret_log = _parse_avm_logs(result.logs)
-    ret = None
-    if function.ret_kind is not None and ret_log is not None:
-        if function.ret_kind == "uint":
-            ret = _canon(int.from_bytes(ret_log, "big"))
-        else:
-            ret = ret_log
-    return _Outcome("ok", scalars, maps, tuple(result.inner_payments), events, ret)
-
-
-def _parse_avm_logs(logs: list[bytes]) -> tuple[tuple, bytes | None]:
-    """Split app logs into decoded events and the trailing return log."""
-    events = []
-    ret_log = None
-    index = 0
-    while index < len(logs):
-        entry = logs[index]
-        if entry.startswith(b"evt:"):
-            name, _, argc_text = entry[4:].decode().rpartition("/")
-            argc = int(argc_text)
-            # The TEAL lowering logs values top-of-stack first, i.e. in
-            # reverse source order.
-            payload = tuple(reversed(logs[index + 1 : index + 1 + argc]))
-            events.append((name, payload))
-            index += 1 + argc
-        else:
-            ret_log = entry
-            index += 1
-    return tuple(events), ret_log
 
 
 # -- the check -----------------------------------------------------------------
 
 
-def _diff(function: IRFunction, vector: _Vector, evm: _Outcome, avm: _Outcome) -> list[str]:
-    where = f"{function.name} [{vector.label}]"
-    if evm.status != avm.status:
-        return [f"{where}: EVM {evm.status} but AVM {avm.status}"]
+def _status(result: StepResult) -> str:
+    if result.status == "machine-error":
+        return f"machine-error: {result.error}"
+    return result.status
+
+
+def _observed(model: BackendModel, result: StepResult, fn: str) -> tuple[Events, bytes | None]:
+    """Canonical (events, return value) of one accepted call."""
+    events, ret = model.observe(result, fn)
+    return (
+        tuple((name, tuple(canon(item) for item in payload)) for name, payload in events),
+        None if ret is None else canon(ret),
+    )
+
+
+def _diff(
+    ir: IRContract,
+    models: tuple[BackendModel, BackendModel],
+    label: str,
+    action: ActionTemplate,
+    results: tuple[StepResult, StepResult],
+) -> list[str]:
+    where = f"{action.fn} [{label}]"
+    evm, avm = results
+    if _status(evm) != _status(avm):
+        return [f"{where}: EVM {_status(evm)} but AVM {_status(avm)}"]
     if evm.status != "ok":
         return []
     problems = []
-    for gname in evm.globals:
-        if evm.globals[gname] != avm.globals[gname]:
+    for gname in scalar_names(ir):
+        evm_value = canon(evm.state.scalar(gname))
+        avm_value = canon(avm.state.scalar(gname))
+        if evm_value != avm_value:
             problems.append(
-                f"{where}: global {gname!r} differs "
-                f"(EVM {evm.globals[gname]!r}, AVM {avm.globals[gname]!r})"
+                f"{where}: global {gname!r} differs (EVM {evm_value!r}, AVM {avm_value!r})"
             )
-    for entry_key in evm.maps:
-        if evm.maps[entry_key] != avm.maps[entry_key]:
-            problems.append(
-                f"{where}: map entry {entry_key} differs "
-                f"(EVM {evm.maps[entry_key]!r}, AVM {avm.maps[entry_key]!r})"
+    for slot in ir.map_slots.values():
+        for key in _candidate_keys(action):
+            evm_entry, avm_entry = (
+                None if raw is None else canon(raw)
+                for raw in (evm.state.map_value(slot, key), avm.state.map_value(slot, key))
             )
+            if evm_entry != avm_entry:
+                problems.append(
+                    f"{where}: map entry {(slot, key)} differs "
+                    f"(EVM {evm_entry!r}, AVM {avm_entry!r})"
+                )
     if evm.transfers != avm.transfers:
         problems.append(
             f"{where}: transfers differ (EVM {evm.transfers}, AVM {avm.transfers})"
         )
-    if evm.events != avm.events:
-        problems.append(f"{where}: events differ (EVM {evm.events}, AVM {avm.events})")
-    if evm.ret != avm.ret:
-        problems.append(f"{where}: return value differs (EVM {evm.ret!r}, AVM {avm.ret!r})")
+    (evm_events, evm_ret), (avm_events, avm_ret) = (
+        _observed(model, result, action.fn) for model, result in zip(models, results)
+    )
+    if evm_events != avm_events:
+        problems.append(f"{where}: events differ (EVM {evm_events}, AVM {avm_events})")
+    if evm_ret != avm_ret:
+        problems.append(f"{where}: return value differs (EVM {evm_ret!r}, AVM {avm_ret!r})")
     return problems
 
 
-def check_equivalence(compiled) -> list[str]:
-    """Diff both backends over shared vectors; return divergence messages."""
-    cache_key = sha256(
-        serialize_code(compiled.evm_code)
-        + compiled.teal_source.encode()
-        + repr(sorted(compiled.evm_code.methods.items())).encode()
-    )
+def check_equivalence(compiled: CompiledContract) -> list[str]:
+    """Replay shared vectors on both backend models; return divergence messages."""
+    cache_key = artifact_key(compiled)
     if cache_key in _CACHE:
         return _CACHE[cache_key]
-    divergences: list[str] = []
     ir = compiled.ir
-    for function in ir.functions.values():
-        for vector in _vectors_for(function, ir):
-            evm_outcome = _run_evm(compiled.evm_code, function, ir, vector)
-            avm_outcome = _run_avm(compiled.teal_source, function, ir, vector)
-            divergences.extend(_diff(function, vector, evm_outcome, avm_outcome))
+    vectors = [vector for function in ir.functions.values() for vector in _vectors_for(function, ir)]
+    # The models snapshot every Map key any vector can observe; each
+    # vector then compares only its own candidate keys.
+    keys = sorted({key for _label, _state, action in vectors for key in _candidate_keys(action)})
+    models = make_models(compiled, Universe(templates=(), keys=tuple(keys)))
+    divergences: list[str] = []
+    for label, state, action in vectors:
+        results = (models[0].step(state, action), models[1].step(state, action))
+        divergences.extend(_diff(ir, models, label, action, results))
     _CACHE[cache_key] = divergences
     return divergences
 

@@ -12,7 +12,9 @@ depth.  The moving parts:
   screens, the consumer/batch map classification, and the static
   footprints partial-order reduction needs;
 - :mod:`exec` wraps both production VMs behind one immutable-state
-  stepping interface with canonical state digests;
+  stepping interface with canonical state digests -- the one executor
+  the equivalence layer (:mod:`repro.reach.absint.equiv`) also replays
+  its per-call vectors on;
 - :mod:`props` holds the transition-local safety monitors
   (``MC-SAFETY-*``);
 - :mod:`explore` runs the deduplicated BFS sweep and certifies bounded
@@ -32,8 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.chain.ethereum.evm import serialize_code
-from repro.crypto.hashing import sha256
+from repro.reach.absint.encode import artifact_key
 from repro.reach.absint.lint import Finding
 from repro.reach.absint.modelcheck.cex import CexStep, CounterExample, minimize
 from repro.reach.absint.modelcheck.exec import make_models
@@ -114,9 +115,10 @@ class ProtocolReport:
         return "\n".join(lines)
 
 
-#: sweep results keyed by (EVM artifact, TEAL artifact, config) hash --
-#: the same pattern as equiv._CACHE, so the deploy gate's repeated
-#: ``lint_report()`` calls across tests pay for one exploration.
+#: sweep results keyed by the artifact hash plus the config -- the
+#: equivalence layer's key plus ``config.cache_key()``, so the deploy
+#: gate's repeated ``lint_report()`` calls across tests pay for one
+#: exploration.
 _CACHE: dict[bytes, ProtocolReport] = {}
 
 
@@ -128,12 +130,7 @@ def check_protocol(compiled: CompiledContract, config: MCConfig | None = None) -
     traces (BFS over sorted action templates, canonical digests).
     """
     config = config or MCConfig()
-    cache_key = sha256(
-        serialize_code(compiled.evm_code)
-        + compiled.teal_source.encode()
-        + repr(sorted(compiled.evm_code.methods.items())).encode()
-        + config.cache_key()
-    )
+    cache_key = artifact_key(compiled) + config.cache_key()
     cached = _CACHE.get(cache_key)
     if cached is not None:
         return cached

@@ -1,13 +1,19 @@
-"""Backend execution models: one checker semantics, two real VMs.
+"""Backend execution models: the static analyser's one executor.
 
-The model checker does not interpret the IR abstractly -- it runs the
-*emitted artifacts* on the same EVM and AVM implementations production
-traffic uses, so a theorem proved here is a theorem about the code that
-ships.  Each model wraps one backend behind a tiny interface:
+Neither the model checker nor the equivalence check interprets the IR
+abstractly -- both run the *emitted artifacts* through these models, on
+the same EVM and AVM implementations production traffic uses, so a
+theorem proved here is a theorem about the code that ships.  This is
+the one module that calls the VMs and knows the contract-storage
+layout (``g:<name>`` scalar keys, hashed EVM Map slots, ``m<slot>:``
+AVM boxes).  Each model wraps one backend behind a tiny interface:
 
-- :meth:`deploy` runs the constructor and returns the initial state;
+- :meth:`deploy` runs the constructor and returns the initial state (a
+  reverting constructor is a ``rejected`` result, not an exception);
 - :meth:`step` applies one :class:`ActionTemplate` to a state and
-  reports accept/reject plus the successor;
+  reports accept/reject plus the successor and the value transfers;
+- :meth:`observe` decodes a result's events and return value, which
+  only the equivalence check compares, so the sweep never pays for it;
 - :meth:`digest` hashes a state canonically, via
   :mod:`repro.reach.absint.encode`, so the same protocol state produces
   the same digest on both backends (the cross-backend state-space
@@ -23,14 +29,16 @@ assembled exactly once per model -- assembly dominates AVM call cost by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.chain.algorand.avm import AVM, Application, AvmError, AvmPanic, CallContext
-from repro.chain.algorand.teal import assemble
+from repro.chain.algorand.teal import TealSyntaxError, assemble
 from repro.chain.ethereum.evm import EVM, EvmContract, VMError, VMRevert
 from repro.reach.absint.encode import canon, is_absent, state_digest, uint_of
 from repro.reach.absint.encode import avm_box_key, evm_map_key, scalar_names
 from repro.reach.absint.modelcheck.universe import (
     CREATOR,
+    DEPLOY,
     GENESIS_NOW,
     ActionTemplate,
     Universe,
@@ -39,6 +47,9 @@ from repro.reach.ir import IRContract
 
 _APP_ADDRESS = "0x" + "aa" * 20
 _GAS_LIMIT = 1_000_000_000
+
+#: decoded events: ``(name, payload)`` pairs in emission order
+Events = tuple[tuple[str, tuple[Any, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -78,6 +89,10 @@ class MCState:
         return MCState(scalars=self.scalars, maps=self.maps, balance=self.balance, now=now)
 
 
+#: the empty pre-deploy state the constructor runs on
+GENESIS = MCState(scalars=(), maps=(), balance=0, now=GENESIS_NOW)
+
+
 @dataclass(frozen=True)
 class StepResult:
     """Observable outcome of applying one action to one state."""
@@ -86,6 +101,11 @@ class StepResult:
     state: MCState  # the successor (== the input state unless "ok")
     transfers: tuple[tuple[str, int], ...] = ()
     error: str = ""
+    #: the call's log records and return value exactly as the VM produced
+    #: them; :meth:`BackendModel.observe` decodes them on demand, so the
+    #: sweep never pays for decoding
+    logs: tuple[Any, ...] = ()
+    returned: object = None
 
     @property
     def paid_out(self) -> int:
@@ -100,18 +120,33 @@ class BackendModel:
     def __init__(self, ir: IRContract, universe: Universe):
         self.ir = ir
         self.universe = universe
-        self._names = sorted(scalar_names(ir))
+        #: scalar name -> its ``g:<name>`` store key, in sorted name order
+        self._keys = {name: b"g:" + name.encode() for name in sorted(scalar_names(ir))}
         self._slots = sorted(ir.map_slots.values())
+        self._returning = {name for name, fn in ir.functions.items() if fn.ret_kind is not None}
 
     # -- subclass surface ----------------------------------------------------
 
     def _execute(self, state: MCState, template: ActionTemplate) -> StepResult:
         raise NotImplementedError
 
-    def deploy(self) -> StepResult:
+    def observe(self, result: StepResult, fn: str) -> tuple[Events, object]:
+        """The (events, return value) of one call of ``fn``, backend-native.
+
+        Events are ``(name, payload)`` pairs in emission order; the
+        return value is None unless ``fn`` declares one.
+        """
         raise NotImplementedError
 
     # -- common --------------------------------------------------------------
+
+    def deploy(self) -> StepResult:
+        """Run the constructor from the empty genesis state.
+
+        A constructor that reverts or faults comes back as a
+        ``rejected``/``machine-error`` result, like any other call.
+        """
+        return self._execute(GENESIS, DEPLOY)
 
     def step(self, state: MCState, template: ActionTemplate) -> StepResult:
         if template.kind == "clock":
@@ -130,13 +165,13 @@ class BackendModel:
 
     def _snapshot(
         self,
-        scalar_of,
-        map_of,
+        globals_: dict[bytes, object],
+        map_of: Callable[[int, int], object],
         balance: int,
         now: int,
     ) -> MCState:
-        """Assemble an MCState by probing reader callbacks."""
-        scalars = tuple((name, scalar_of(name)) for name in self._names)
+        """Assemble an MCState from a global store and a Map reader."""
+        scalars = tuple((name, globals_.get(key, 0)) for name, key in self._keys.items())
         maps = []
         for slot in self._slots:
             for key in self.universe.keys:
@@ -156,40 +191,17 @@ class EvmModel(BackendModel):
         self.code = compiled.evm_code
         self.vm = EVM()
 
-    def deploy(self) -> StepResult:
-        contract = EvmContract(address=_APP_ADDRESS, code=self.code, creator=CREATOR)
-        result = self.vm.execute(
-            contract,
-            entry=self.code.init_entry,
-            args=[],
-            caller=CREATOR,
-            value=0,
-            gas_limit=_GAS_LIMIT,
-            block_number=1,
-            timestamp=float(GENESIS_NOW),
-            self_balance=0,
-            intrinsic=0,
-        )
-        overlay = dict(contract.storage)
-        overlay.update(result.storage_writes)
-        state = self._snapshot(
-            lambda name: overlay.get(b"g:" + name.encode(), 0),
-            lambda slot, key: overlay.get(evm_map_key(slot, key), 0),
-            balance=0,
-            now=GENESIS_NOW,
-        )
-        return StepResult(status="ok", state=state)
-
     def _execute(self, state: MCState, template: ActionTemplate) -> StepResult:
         contract = EvmContract(address=_APP_ADDRESS, code=self.code, creator=CREATOR)
         for name, value in state.scalars:
-            contract.storage[b"g:" + name.encode()] = value
+            contract.storage[self._keys[name]] = value
         for (slot, key), value in state.maps:
             contract.storage[evm_map_key(slot, key)] = value
+        creating = template.kind == "deploy"
         try:
             result = self.vm.execute(
                 contract,
-                entry=self.code.methods[template.fn],
+                entry=self.code.init_entry if creating else self.code.methods[template.fn],
                 args=list(template.args),
                 caller=template.caller,
                 value=template.value,
@@ -208,12 +220,21 @@ class EvmModel(BackendModel):
         transfers = tuple(result.transfers)
         paid = sum(amount for _to, amount in transfers)
         successor = self._snapshot(
-            lambda name: overlay.get(b"g:" + name.encode(), 0),
+            overlay,
             lambda slot, key: overlay.get(evm_map_key(slot, key), 0),
             balance=state.balance + template.value - paid,
             now=state.now,
         )
-        return StepResult(status="ok", state=successor, transfers=transfers)
+        return StepResult(
+            status="ok",
+            state=successor,
+            transfers=transfers,
+            logs=tuple(result.logs),
+            returned=result.return_value,
+        )
+
+    def observe(self, result: StepResult, fn: str) -> tuple[Events, object]:
+        return result.logs, result.returned if fn in self._returning else None
 
 
 class AvmModel(BackendModel):
@@ -223,46 +244,32 @@ class AvmModel(BackendModel):
 
     def __init__(self, compiled, universe: Universe):
         super().__init__(compiled.ir, universe)
-        # Assemble once; reuse across every call of the run.
-        self.program = assemble(compiled.teal_source)
+        # Assemble once; reuse across every call of the run.  TEAL that
+        # does not assemble fails every call as a machine error.
+        try:
+            self.program = assemble(compiled.teal_source)
+            self.unassembled = ""
+        except TealSyntaxError as error:
+            self.program = None
+            self.unassembled = str(error)
         self.vm = AVM()
 
-    def deploy(self) -> StepResult:
-        app = Application(app_id=0, approval=self.program, creator=CREATOR, address=_APP_ADDRESS)
-        ctx = CallContext(
-            sender=CREATOR,
-            application_id=0,
-            app_args=[],
-            amount=0,
-            round=1,
-            timestamp=float(GENESIS_NOW),
-            app_address=_APP_ADDRESS,
-            app_balance=0,
-            budget_pool=16,
-        )
-        result = self.vm.execute(app, ctx)
-        overlay = dict(app.global_state)
-        overlay.update(result.global_writes)
-        boxes = dict(app.boxes)
-        boxes.update(result.box_writes)
-        state = self._snapshot(
-            lambda name: overlay.get(b"g:" + name.encode(), 0),
-            lambda slot, key: boxes.get(avm_box_key(slot, key)),
-            balance=0,
-            now=GENESIS_NOW,
-        )
-        return StepResult(status="ok", state=state)
-
     def _execute(self, state: MCState, template: ActionTemplate) -> StepResult:
-        app = Application(app_id=1, approval=self.program, creator=CREATOR, address=_APP_ADDRESS)
+        if self.program is None:
+            return StepResult(status="machine-error", state=state, error=self.unassembled)
+        creating = template.kind == "deploy"
+        app_id = 0 if creating else 1
+        app = Application(
+            app_id=app_id, approval=self.program, creator=CREATOR, address=_APP_ADDRESS
+        )
         for name, value in state.scalars:
-            app.global_state[b"g:" + name.encode()] = value
+            app.global_state[self._keys[name]] = value
         for (slot, key), value in state.maps:
             app.boxes[avm_box_key(slot, key)] = value
         ctx = CallContext(
             sender=template.caller,
-            application_id=1,
-            app_args=[template.fn, *template.args],
+            application_id=app_id,
+            app_args=[] if creating else [template.fn, *template.args],
             amount=template.value,
             round=1,
             timestamp=float(state.now),
@@ -287,12 +294,43 @@ class AvmModel(BackendModel):
         transfers = tuple(result.inner_payments)
         paid = sum(amount for _to, amount in transfers)
         successor = self._snapshot(
-            lambda name: overlay.get(b"g:" + name.encode(), 0),
+            overlay,
             lambda slot, key: boxes.get(avm_box_key(slot, key)),
             balance=state.balance + template.value - paid,
             now=state.now,
         )
-        return StepResult(status="ok", state=successor, transfers=transfers)
+        return StepResult(
+            status="ok", state=successor, transfers=transfers, logs=tuple(result.logs)
+        )
+
+    def observe(self, result: StepResult, fn: str) -> tuple[Events, object]:
+        events, ret_log = _parse_avm_logs(result.logs)
+        if fn not in self._returning or ret_log is None:
+            return events, None
+        if self.ir.functions[fn].ret_kind == "uint":
+            return events, int.from_bytes(ret_log, "big")
+        return events, ret_log
+
+
+def _parse_avm_logs(logs: tuple[bytes, ...]) -> tuple[Events, bytes | None]:
+    """Split app logs into decoded events and the trailing return log."""
+    events: list[tuple[str, tuple[Any, ...]]] = []
+    ret_log = None
+    index = 0
+    while index < len(logs):
+        entry = logs[index]
+        if entry.startswith(b"evt:"):
+            name, _, argc_text = entry[4:].decode().rpartition("/")
+            argc = int(argc_text)
+            # The TEAL lowering logs values top-of-stack first, i.e. in
+            # reverse source order.
+            payload = tuple(reversed(logs[index + 1 : index + 1 + argc]))
+            events.append((name, payload))
+            index += 1 + argc
+        else:
+            ret_log = entry
+            index += 1
+    return tuple(events), ret_log
 
 
 def make_models(compiled, universe: Universe) -> tuple[EvmModel, AvmModel]:

@@ -95,6 +95,8 @@ def _ample_candidate(enabled: list[int], universe: Universe) -> int | None:
 def explore(model: BackendModel, universe: Universe, config: MCConfig, phase_count: int) -> MCRun:
     """Run the bounded sweep on one backend; deterministic end to end."""
     deployed = model.deploy()
+    if deployed.status != "ok":
+        raise RuntimeError(f"{model.backend} constructor {deployed.status}: {deployed.error}")
     init_digest = model.digest(deployed.state)
 
     states: dict[bytes, MCState] = {init_digest: deployed.state}

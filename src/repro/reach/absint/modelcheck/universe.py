@@ -71,11 +71,23 @@ class ActionTemplate:
     args: tuple
     value: int
     phase: int | None  # enabling value of ``_phase`` (None: any live phase)
-    kind: str  # "publish" | "api" | "timeout" | "clock"
+    kind: str  # "deploy" | "publish" | "api" | "timeout" | "clock"
 
 
 #: the pseudo-action that advances consensus time past ``_deadline``
 CLOCK = ActionTemplate(name="@clock", fn="", caller="", args=(), value=0, phase=None, kind="clock")
+
+#: the creator's constructor call every run starts from
+DEPLOY = ActionTemplate(
+    name="@deploy", fn="constructor", caller=CREATOR, args=(), value=0, phase=None, kind="deploy"
+)
+
+
+def action_kind(fn: str) -> str:
+    """The template kind of a call to IR function ``fn``."""
+    if fn == "publish0":
+        return "publish"
+    return "timeout" if fn.startswith("timeout_") else "api"
 
 
 @dataclass(frozen=True)
@@ -407,7 +419,7 @@ def derive_universe(compiled: CompiledContract, config: MCConfig | None = None) 
         fn = ir.functions[fname]
         if fname == "constructor":
             continue  # deploy is the fixed initial transition, not a move
-        kind = "publish" if fname == "publish0" else ("timeout" if fname.startswith("timeout_") else "api")
+        kind = action_kind(fname)
         gated = _creator_gated(fn)
         callers = (CREATOR, OTHER) if gated else (OTHER,)
         domains = _arg_domains(

@@ -79,10 +79,11 @@ class VerificationFailure(Exception):
 def verify_program(program: A.Program) -> VerificationReport:
     """Run every theorem against ``program``."""
     report = VerificationReport(program_name=program.name)
+    transfer_checks = _semantic_transfer_checks(program)
     for mode in MODES:
         _check_structure(program, mode, report)
         _check_maps(program, mode, report)
-        _check_transfers_guarded(program, mode, report)
+        _check_transfers_guarded(program, mode, report, transfer_checks)
         _check_token_linearity(program, mode, report)
         _check_phase_progress(program, mode, report)
         _check_pay_declarations(program, mode, report)
@@ -189,20 +190,23 @@ def _semantic_transfer_checks(program: A.Program):
     guard matching below: it is path-sensitive (the budget exists only
     on a guard's true edge), tracks the balance across sequential
     payouts, and anchors failures to source spans.  When the program
-    cannot be lowered yet (structural problems other theorems report),
-    fall back to the syntactic check.
+    cannot be lowered (a :class:`CompileError` for structural problems
+    other theorems report), fall back to the syntactic check; any other
+    exception is an analyzer bug and propagates.
     """
+    from repro.reach.absint.balance import analyze_ir_balance
+    from repro.reach.compiler import CompileError, lower_to_ir
+
     try:
-        from repro.reach.absint.balance import analyze_ir_balance
-        from repro.reach.compiler import lower_to_ir
-
-        return analyze_ir_balance(lower_to_ir(program)).checks
-    except Exception:
+        ir = lower_to_ir(program)
+    except CompileError:
         return None
+    return analyze_ir_balance(ir).checks
 
 
-def _check_transfers_guarded(program: A.Program, mode: str, report: VerificationReport) -> None:
-    checks = _semantic_transfer_checks(program)
+def _check_transfers_guarded(
+    program: A.Program, mode: str, report: VerificationReport, checks
+) -> None:
     if checks is not None:
         for check in checks:
             report.theorems.append(

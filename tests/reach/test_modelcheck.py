@@ -18,6 +18,7 @@ Pins the properties the lint gate and CI rely on:
 import contextlib
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,15 @@ from repro.reach.absint.modelcheck import (
     protocol_findings,
     weaken_replay_screen,
 )
-from repro.reach.absint.modelcheck.universe import batch_slots_of, find_consumers, find_screens
+from repro.reach.absint.equiv import check_equivalence
+from repro.reach.absint.modelcheck.exec import make_models
+from repro.reach.absint.modelcheck.explore import explore
+from repro.reach.absint.modelcheck.universe import (
+    batch_slots_of,
+    derive_universe,
+    find_consumers,
+    find_screens,
+)
 from repro.reach.compiler import compile_program
 from repro.reach.parser import parse_contract
 
@@ -71,6 +80,34 @@ class TestUniverse:
     def test_verify_is_the_easy_map_consumer(self, pol):
         consumers = find_consumers(pol.ir)
         assert pol.ir.map_slots["easy_map"] in consumers["verifierAPI.verify"]
+
+
+class TestFailedDeploy:
+    """A constructor that fails is a status for equivalence, loud for the sweep."""
+
+    @pytest.mark.parametrize(
+        ("teal", "status", "message"),
+        [
+            ("int 0\nassert\n", "rejected", "constructor [create]: EVM ok but AVM rejected"),
+            (
+                "no_such_opcode\n",
+                "machine-error",
+                "constructor [create]: EVM ok but AVM machine-error: "
+                "line 1: unknown opcode 'no_such_opcode'",
+            ),
+        ],
+        ids=["reverting", "unassembled"],
+    )
+    def test_failed_deploy(self, pol, teal, status, message):
+        broken = replace(pol, teal_source=teal, _lint=None)
+        config = MCConfig()
+        universe = derive_universe(broken, config)
+        evm_model, avm_model = make_models(broken, universe)
+        assert evm_model.deploy().status == "ok"
+        assert avm_model.deploy().status == status
+        assert check_equivalence(broken)[0] == message
+        with pytest.raises(RuntimeError, match=f"avm constructor {status}"):
+            explore(avm_model, universe, config, broken.ir.phase_count)
 
 
 class TestTheorems:

@@ -90,6 +90,36 @@ class TestGuardedTransfers:
         object.__setattr__(program.phases[0].apis[0], "methods", (drain,))
         assert all(t.ok for t in verify_program(program).theorems if "fundable" in t.name)
 
+    def test_balance_analysis_runs_once_per_verification(self, monkeypatch):
+        from repro.reach.absint import balance
+
+        calls = []
+        real = balance.analyze_ir_balance
+
+        def counting(ir):
+            calls.append(ir)
+            return real(ir)
+
+        monkeypatch.setattr(balance, "analyze_ir_balance", counting)
+        report = verify_program(build_pol_program())
+        assert report.ok
+        assert len(calls) == 1
+        # ...while every mode still reports the transfer theorems
+        fundable = [t for t in report.theorems if "fundable" in t.name]
+        assert {t.mode for t in fundable} == set(MODES)
+
+    def test_analyzer_crash_propagates(self, monkeypatch):
+        # Only a program that cannot be lowered falls back to the
+        # syntactic guard match; an analyzer bug must fail loudly.
+        from repro.reach.absint import balance
+
+        def crash(ir):
+            raise RuntimeError("analyzer bug")
+
+        monkeypatch.setattr(balance, "analyze_ir_balance", crash)
+        with pytest.raises(RuntimeError, match="analyzer bug"):
+            verify_program(build_pol_program())
+
 
 class TestMapTheorems:
     def test_bytes_key_map_fails(self):
