@@ -167,6 +167,9 @@ def _cmd_postmortem(args) -> int:
 #: sweep-mode user counts; 100k only behind ``--allow-100k``
 SWEEP_POINTS = (16, 1000, 10000)
 
+#: ``ru_maxrss`` units per MiB: kilobytes on Linux, bytes on macOS
+_RSS_UNITS_PER_MIB = 1024 * 1024 if sys.platform == "darwin" else 1024
+
 
 def _auto_sample_every(users: int) -> int:
     """Journey-sampling stride: trace all small runs, every Nth at scale."""
@@ -265,12 +268,16 @@ def _cmd_analyze(args) -> int:
     ``--profiles DIR`` additionally writes collapsed-stack and
     speedscope flamegraphs per point.  ``crypto_backend`` on each point
     says whether the group arithmetic ran on the native extension
-    (``"native"``) or fell back (``"python: <reason>"``).  The run is
-    *appended* to the
+    (``"native"``) or fell back (``"python: <reason>"``).
+    ``peak_rss_mib`` is the process's peak resident set size so far
+    (``getrusage`` ``ru_maxrss``), not the point's own: points run in
+    one process, so a later point never reads below an earlier one.
+    The run is *appended* to the
     ``--bench`` history (git sha, seed, host in the run metadata) --
     compare runs with ``repro bench diff``.
     """
     import os
+    import resource
     import time
 
     from repro.bench.simulation import run_traced_journeys
@@ -329,6 +336,9 @@ def _cmd_analyze(args) -> int:
                 "users": effective,
                 "batch_size": batch,
                 "kernel_seconds": round(kernel_seconds, 3),
+                "peak_rss_mib": round(
+                    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / _RSS_UNITS_PER_MIB, 1
+                ),
                 "crypto_backend": crypto_backend(),
                 "sample_every": sample_every,
                 **summary,

@@ -13,6 +13,7 @@ thesis: "their presence would not have relevance to the results"
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -338,21 +339,18 @@ def run_traced_journeys(
       monitored large-population runs (the thesis workload behind
       :func:`run_simulation_concurrent` tops out at 8 locations);
     - ``profiler`` (a :class:`repro.obs.prof.Profiler`) attributes the
-      run's wall-clock and sim-time to kernel stages: it is attached to
-      the event queue and the recorder, made ambient for the crypto and
-      DHT layers, and its profiled window covers account setup through
-      final verification.  Profiling never changes results.
+      run's wall-clock and sim-time to stages: it is installed on the
+      chain's clock around the whole campaign body, so its profiled
+      window covers account setup through final verification.
+      Profiling never changes results.
 
     Returns ``(report, recorder)``: the reconstructed
     :class:`~repro.obs.analysis.JourneyReport` plus the recorder, whose
     spans/counters back the Chrome trace and ``BENCH_pol.json`` entry.
     """
     from repro.obs.analysis import reconstruct_journeys
-    from repro.obs.prof import NULL_PROFILER, activate_profiler
     from repro.obs.recorder import Recorder
 
-    if profiler is None:
-        profiler = NULL_PROFILER
     # A monitored run must share one recorder: the watchtower's burn-rate
     # windows read the same counter series the chain writes.
     if watchtower is not None and watchtower.enabled:
@@ -360,18 +358,11 @@ def run_traced_journeys(
     else:
         recorder = Recorder()
     chain = make_chain(network, seed=seed, recorder=recorder)
-    if profiler.enabled:
-        chain.queue.attach_profiler(profiler)
-        recorder.attach_profiler(profiler)
-    profiler.start()
-    try:
-        with activate_profiler(profiler):
-            _run_traced_workload(
-                chain, recorder, user_count, reward, sample_every, population,
-                batch_size=batch_size, watchtower=watchtower,
-            )
-    finally:
-        profiler.stop()
+    with profiler.installed(chain.queue.clock) if profiler is not None else nullcontext():
+        _run_traced_workload(
+            chain, recorder, user_count, reward, sample_every, population,
+            batch_size=batch_size, watchtower=watchtower,
+        )
     return reconstruct_journeys(recorder), recorder
 
 

@@ -647,19 +647,6 @@ class BaseChain:
         state, fee policy and worst-case affordability -- the same
         failures a node provider would surface synchronously.
         """
-        profiler = self.queue._profiler
-        if not profiler.enabled:
-            return self._submit_impl(tx)
-        # Admission (signature verify, fee checks, mempool insert) is a
-        # distinct profile stage; the signature check nests crypto.verify
-        # under it.
-        profiler.enter("chain.submit")
-        try:
-            return self._submit_impl(tx)
-        finally:
-            profiler.exit()
-
-    def _submit_impl(self, tx: Transaction) -> str:
         self.start()
         if self.faults.enabled:
             self.faults.on_submit(tx)
@@ -869,23 +856,12 @@ class BaseChain:
             )
             return
 
-        profiler = self.queue._profiler
-        profiling = profiler.enabled
-
         self._round += 1
-        ready = self._ready
         freed = self._eligible.pop(self._round, None)
         if freed:
-            # Leftovers are already sorted; timsort folds the new batch
-            # in near-linearly and unique keys keep ties in submission
-            # order, matching the historical whole-mempool stable sort.
-            if profiling:
-                profiler.enter("mempool.schedule")
-            ready.extend(freed)
-            ready.sort()
-            if profiling:
-                profiler.exit()
+            self._schedule_ready(freed)
 
+        ready = self._ready
         included: list[Transaction] = []
         leftover: list[tuple[tuple[int, float, int], _MempoolEntry]] = []
         pending_confirms: list[tuple[float, Callable[[], Any]]] = []
@@ -906,14 +882,7 @@ class BaseChain:
             if not self._includable(tx, block):
                 leftover.append(pair)
                 continue  # priced out; waits for the fee market to relax
-            if profiling:
-                profiler.enter("vm.execute")
-                try:
-                    receipt = self._execute(tx, block)
-                finally:
-                    profiler.exit()
-            else:
-                receipt = self._execute(tx, block)
+            receipt = self._execute(tx, block)
             receipt.block_number = number
             receipt.included_at = self.queue.clock.now
             included.append(tx)
@@ -958,6 +927,16 @@ class BaseChain:
             self.profile.block_time, self._produce_block,
             label=self._block_label, inherit_context=False,
         )
+
+    def _schedule_ready(self, freed: list[tuple[tuple[int, float, int], _MempoolEntry]]) -> None:
+        """Fold the transactions freed this round into the sorted ready list.
+
+        Leftovers are already sorted; timsort folds the new batch in
+        near-linearly and unique keys keep ties in submission order,
+        matching the historical whole-mempool stable sort.
+        """
+        self._ready.extend(freed)
+        self._ready.sort()
 
     def _confirmation_entry(self, receipt: Receipt) -> tuple[float, Callable[[], None]]:
         """The (delay, callback) pair that settles one receipt.

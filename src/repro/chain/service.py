@@ -154,18 +154,6 @@ class ChainService:
         rebuild that changes nothing cannot succeed either, so the
         rejection is re-raised at once.
         """
-        profiler = self.chain.queue._profiler
-        if not profiler.enabled:
-            return self._submit_with_retries(account, tx)
-        # Client-session work (sign + retry/rebuild policy); the nested
-        # chain.submit and crypto.sign stages subtract themselves out.
-        profiler.enter("chain.service")
-        try:
-            return self._submit_with_retries(account, tx)
-        finally:
-            profiler.exit()
-
-    def _submit_with_retries(self, account: Account, tx: Transaction) -> TxHandle:
         attempts = 0
         while True:
             try:

@@ -1,7 +1,7 @@
 """Modular exponentiation in the group: fixed-base ``g_pow``, any-base ``p_pow``.
 
-Profiling the proof-journey kernel shows modular exponentiation is the
-dominant cost at scale: every key derivation, Schnorr signature, and
+Modular exponentiation is the proof-journey kernel's dominant cost at
+scale: every key derivation, Schnorr signature, and
 ElGamal challenge raises the *same* generator ``G`` to a fresh 160-bit
 exponent, and CPython's ``pow`` re-does the square chain each time.
 
@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import Callable, TypeVar
 
 from repro.crypto import group
-from repro.obs import prof as _prof
 
 T = TypeVar("T")
 
@@ -173,23 +172,12 @@ def g_pow(exponent: int) -> int:
     Exponents are reduced mod the subgroup order first (callers pass
     values already below ``Q``; the reduction keeps the function a
     drop-in for ``pow`` on any non-negative exponent).
-
-    Under an ambient profiler every call is the ``crypto.comb`` stage --
-    fixed-base exponentiation is the kernel's dominant arithmetic cost,
-    and future heavy crypto (ZK-PoL) will be budgeted against it.
     """
     global _G_COMB
     comb = _G_COMB
     if comb is None:
         comb = _G_COMB = _make_g_comb()
-    profiler = _prof.ACTIVE
-    if not profiler.enabled:
-        return comb.pow(exponent % group.Q)
-    profiler.enter("crypto.comb")
-    try:
-        return comb.pow(exponent % group.Q)
-    finally:
-        profiler.exit()
+    return comb.pow(exponent % group.Q)
 
 
 def p_pow(base: int, exponent: int) -> int:
@@ -199,21 +187,12 @@ def p_pow(base: int, exponent: int) -> int:
     subgroup (:func:`repro.crypto.group.is_group_element` raises an
     arbitrary value to ``Q`` to find out).  Negative arguments raise
     :class:`ValueError` on either backend.
-
-    Under an ambient profiler every call is the ``crypto.modexp`` stage.
     """
     global _P_POW
     modexp = _P_POW
     if modexp is None:
         modexp = _P_POW = _make_p_pow()
-    profiler = _prof.ACTIVE
-    if not profiler.enabled:
-        return modexp(base, exponent)
-    profiler.enter("crypto.modexp")
-    try:
-        return modexp(base, exponent)
-    finally:
-        profiler.exit()
+    return modexp(base, exponent)
 
 
 def crypto_backend() -> str:

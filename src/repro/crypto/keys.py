@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from repro.crypto import group
 from repro.crypto.fastexp import g_pow, p_pow
 from repro.crypto.hashing import sha256, tagged_hash
-from repro.obs import prof as _prof
 
 
 class SignatureError(Exception):
@@ -118,16 +117,6 @@ class PublicKey:
         This is the verifier-side check of thesis eq. 2.2: applying the
         witness public key to the signed proof must re-yield the hash.
         """
-        profiler = _prof.ACTIVE
-        if not profiler.enabled:
-            return self._verify_impl(message, signature)
-        profiler.enter("crypto.verify")
-        try:
-            return self._verify_impl(message, signature)
-        finally:
-            profiler.exit()
-
-    def _verify_impl(self, message: bytes, signature: Signature) -> bool:
         if not (0 < signature.e < group.Q and 0 < signature.s < group.Q):
             return False
         if (self.y, message, signature.e, signature.s) in _signed_here:
@@ -194,16 +183,6 @@ class KeyPair:
         This is thesis eq. 2.1: the witness applies its private key to
         the hash of the prover's proof.
         """
-        profiler = _prof.ACTIVE
-        if not profiler.enabled:
-            return self._sign_impl(message)
-        profiler.enter("crypto.sign")
-        try:
-            return self._sign_impl(message)
-        finally:
-            profiler.exit()
-
-    def _sign_impl(self, message: bytes) -> Signature:
         k = _deterministic_nonce(self.x, message)
         r = g_pow(k)
         e = _challenge(r, self.public.y, message)

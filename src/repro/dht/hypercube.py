@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from repro.geo.rbit import olc_to_rbit, rbit_to_int
 from repro.dht.node import HypercubeNode, NodeContent
-from repro.obs import prof as _prof
 from repro.obs.recorder import NULL_RECORDER, NullRecorder
 
 
@@ -136,16 +135,6 @@ class HypercubeDHT:
         Falls back to the replicas (one extra hop each: they are direct
         neighbours) when the responsible node is offline.
         """
-        profiler = _prof.ACTIVE
-        if not profiler.enabled:
-            return self._lookup_impl(olc, origin_id, max_hops)
-        profiler.enter("dht.op")
-        try:
-            return self._lookup_impl(olc, origin_id, max_hops)
-        finally:
-            profiler.exit()
-
-    def _lookup_impl(self, olc: str, origin_id: int, max_hops: int | None) -> LookupResult:
         target = self.responsible_node(olc)
         path = self.route(origin_id, target.node_id, max_hops)
         if self.replication > 0:
@@ -220,16 +209,6 @@ class HypercubeDHT:
         The prover that deploys a new contract stores its ID so later
         provers at the same location attach instead of redeploying.
         """
-        profiler = _prof.ACTIVE
-        if not profiler.enabled:
-            return self._register_impl(olc, contract_id, origin_id)
-        profiler.enter("dht.op")
-        try:
-            return self._register_impl(olc, contract_id, origin_id)
-        finally:
-            profiler.exit()
-
-    def _register_impl(self, olc: str, contract_id: str, origin_id: int) -> LookupResult:
         olc = olc.upper()
         target = self.responsible_node(olc)
         path = self.route(origin_id, target.node_id)
@@ -245,16 +224,6 @@ class HypercubeDHT:
 
     def append_cid(self, olc: str, cid: str, origin_id: int = 0) -> LookupResult:
         """The verifier's garbage-in insert: append a validated CID."""
-        profiler = _prof.ACTIVE
-        if not profiler.enabled:
-            return self._append_impl(olc, cid, origin_id)
-        profiler.enter("dht.op")
-        try:
-            return self._append_impl(olc, cid, origin_id)
-        finally:
-            profiler.exit()
-
-    def _append_impl(self, olc: str, cid: str, origin_id: int) -> LookupResult:
         olc = olc.upper()
         target = self.responsible_node(olc)
         path = self.route(origin_id, target.node_id)

@@ -49,10 +49,8 @@ from repro.obs.monitor import (
 from repro.obs.slo import SloEngine, SloRule, default_rules
 from repro.obs.flight import FlightRecorder, load_bundle, render_bundle
 from repro.obs.prof import (
-    NULL_PROFILER,
-    NullProfiler,
+    STAGES,
     Profiler,
-    activate_profiler,
     to_collapsed,
     to_speedscope,
     write_collapsed,
@@ -103,10 +101,8 @@ __all__ = [
     "FlightRecorder",
     "load_bundle",
     "render_bundle",
-    "NULL_PROFILER",
-    "NullProfiler",
+    "STAGES",
     "Profiler",
-    "activate_profiler",
     "to_collapsed",
     "to_speedscope",
     "write_collapsed",

@@ -2,18 +2,26 @@
 
 The benchmark trajectory (``BENCH_pol.json``) records *that* a 10k-user
 campaign took N kernel seconds; this module records *where* those
-seconds went.  Instrumented sections of the kernel -- event dispatch,
-mempool eligibility scheduling, VM execution, crypto signing, comb and
-variable-base exponentiation, DHT operations, and the recorder's own bookkeeping --
-enter and exit named **stages** on a :class:`Profiler`, which attributes
-**self time** (elapsed minus time spent in nested stages) on two axes:
+seconds went.  The kernel knows nothing of it: :data:`STAGES` is one
+table of named **stages**, each a list of ``"module:Class.method"`` or
+``"module:function"`` targets, and :meth:`Profiler.installed` wraps
+every target for the duration of a ``with`` block and restores the
+originals on exit.  A wrapped call enters its stage on the
+:class:`Profiler`, which attributes **self time** (elapsed minus time
+spent in nested stages) on two axes:
 
 - **wall-clock nanoseconds** (``time.perf_counter_ns``) -- the quantity
   perf work optimises and the regression gate (:mod:`repro.obs.regress`)
   watches run over run;
 - **simulated seconds** (the bound :class:`~repro.simnet.clock.SimClock`)
-  -- so stages that *advance* simulation time (event dispatch) separate
-  from stages that merely *compute* (VM execution, crypto).
+  -- so the stage that *advances* simulation time (``simnet.step``, the
+  event queue's pop-and-fire) separates from stages that merely
+  *compute* (VM execution, crypto).
+
+A stage marked ``flat`` (the recorder's hot methods, ``obs.recorder``)
+is timed with two clock reads and charged through
+:meth:`Profiler.add_flat` instead of an enter/exit pair: it never nests
+anything, and a pair would double its bookkeeping.
 
 Two properties the rest of the stack relies on:
 
@@ -21,15 +29,13 @@ Two properties the rest of the stack relies on:
   two clock reads; the bookkeeping time between them is charged to the
   distinct ``obs.profiler`` stage and *excluded* from the enclosing
   stage, so instrumentation cost never masquerades as kernel work.
-  Likewise the recorder's hot methods charge their cost to
-  ``obs.recorder`` via :meth:`Profiler.add_flat` rather than to whatever
-  stage happened to be open (see :mod:`repro.obs.recorder`).
-- **Profiling never perturbs the simulation.**  The profiler only reads
+- **Profiling never perturbs the simulation.**  The wrappers only read
   clocks; event ordering, seeded randomness and every simulated result
   are unchanged by profiling.  (EVM fee totals jitter at the ppm level
   run-to-run regardless of profiling -- entropy-backed replay nonces
   ride in calldata -- so compare fees across runs, not profiled vs
-  unprofiled within one.)
+  unprofiled within one.)  Outside ``installed`` the targets are the
+  plain functions: an unprofiled run takes no profiler branch at all.
 
 Besides flat self-times the profiler retains per-*stack-path* totals,
 which export as collapsed stacks (``to_collapsed``, Brendan Gregg's
@@ -47,17 +53,19 @@ mistaken for a real measurement.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import sys
+from contextlib import contextmanager
+from functools import update_wrapper
 from time import perf_counter_ns
-from typing import Any
+from typing import Any, Callable, Iterator, NamedTuple
 
 __all__ = [
-    "NULL_PROFILER",
-    "NullProfiler",
+    "STAGES",
     "Profiler",
-    "activate_profiler",
-    "get_profiler",
+    "Stage",
     "to_collapsed",
     "to_profile_chrome_trace",
     "to_speedscope",
@@ -69,91 +77,83 @@ __all__ = [
 HANDICAP_ENV = "REPRO_PROF_HANDICAP"
 
 
-class NullProfiler:
-    """The always-on disabled profiler: every method is a no-op.
+class Stage(NamedTuple):
+    """One profiled stage: its name and the callables it wraps."""
 
-    Mirrors :class:`repro.obs.recorder.NullRecorder`: components default
-    to the shared :data:`NULL_PROFILER` and hot paths guard on
-    :attr:`enabled`, so an unprofiled run pays one attribute read per
-    would-be stage.
+    name: str
+    targets: tuple[str, ...]  # "module:Class.method" or "module:function"
+    flat: bool = False  # timed via add_flat, never an enter/exit pair
+
+
+_SYSTEM = "repro.core.system:ProofOfLocationSystem."
+_BATCH = "repro.core.batch:BatchAggregator."
+_CHAIN = "repro.chain.base:BaseChain."
+_DHT = "repro.dht.hypercube:HypercubeDHT."
+_RECORDER = "repro.obs.recorder:Recorder."
+
+#: every profiled stage, outermost layers first.  A subclass override
+#: of a wrapped method (``ConfluxChain._execute``) is not listed: its
+#: ``super()`` call lands in the stage once, its own work in the caller.
+STAGES = (
+    Stage("core.onboard", tuple(_SYSTEM + m for m in ("register_prover", "register_witness", "register_verifier"))),
+    Stage("core.prove", (_SYSTEM + "request_location_proof",)),
+    Stage("core.submit", (_SYSTEM + "submit_many", _SYSTEM + "submit_batched",
+                          _BATCH + "poll", _BATCH + "flush_all", _BATCH + "drain")),
+    Stage("core.verify", (_SYSTEM + "fund_contracts", _SYSTEM + "verify_many", _SYSTEM + "light_verify_many")),
+    Stage("reach.compile", ("repro.reach.compiler:compile_program",)),
+    Stage("reach.lint", ("repro.reach.compiler:CompiledContract.lint_report",)),
+    Stage("simnet.step", ("repro.simnet.events:EventQueue.step",)),
+    Stage("chain.service", ("repro.chain.service:ChainService.submit",)),
+    Stage("chain.submit", (_CHAIN + "submit",)),
+    Stage("chain.block", (_CHAIN + "_produce_block",)),
+    Stage("chain.confirm", (_CHAIN + "_notify_confirmed",)),
+    Stage("mempool.schedule", (_CHAIN + "_schedule_ready",)),
+    Stage("vm.execute", ("repro.chain.ethereum.chain:EthereumChain._execute",
+                         "repro.chain.algorand.chain:AlgorandChain._execute")),
+    Stage("crypto.sign", ("repro.crypto.keys:KeyPair.sign",)),
+    Stage("crypto.verify", ("repro.crypto.keys:PublicKey.verify",)),
+    Stage("crypto.comb", ("repro.crypto.fastexp:g_pow",)),
+    Stage("crypto.modexp", ("repro.crypto.fastexp:p_pow",)),
+    Stage("dht", tuple(_DHT + m for m in ("lookup", "register_contract", "append_cid"))),
+    Stage("obs.recorder", tuple(_RECORDER + m for m in ("_gauge_set", "_observe_key", "span")), flat=True),
+)
+
+
+def _resolve(target: str) -> tuple[Any, str]:
+    """``(owner, attribute)`` for a ``module:Class.method`` / ``module:function`` target."""
+    module_name, qualname = target.split(":")
+    owner: Any = importlib.import_module(module_name)
+    *classes, attr = qualname.split(".")
+    for name in classes:
+        owner = getattr(owner, name)
+    if not callable(vars(owner).get(attr)):
+        raise TypeError(f"profile target {target} is not a function defined there")
+    return owner, attr
+
+
+def _by_name_copies(attr: str, function: Any) -> list[Any]:
+    """Every loaded ``repro`` module holding ``function`` under ``attr``.
+
+    A function imported by name (``from repro.crypto.fastexp import
+    g_pow``) is a separate reference in the importing module; each must
+    be patched for its callers to reach the wrapper.
     """
-
-    enabled = False
-
-    def bind_clock(self, clock: Any) -> None:
-        pass
-
-    def start(self) -> None:
-        pass
-
-    def stop(self) -> None:
-        pass
-
-    def enter(self, stage: str) -> None:
-        pass
-
-    def exit(self) -> None:
-        pass
-
-    def add_flat(self, stage: str, wall_ns: int) -> None:
-        pass
-
-    def profile(self) -> dict[str, Any]:
-        return {}
+    return [
+        module for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "repro" and getattr(module, attr, None) is function
+    ]
 
 
-#: the process-wide disabled profiler every component defaults to.
-NULL_PROFILER = NullProfiler()
-
-#: the ambient profiler cross-cutting layers read (crypto, DHT): they
-#: have no recorder/queue reference to hang a profiler on, so the run
-#: harness activates one here for the duration of a profiled run.  The
-#: kernel is single-threaded; this is a plain rebindable module global.
-ACTIVE: NullProfiler = NULL_PROFILER
-
-
-def get_profiler() -> NullProfiler:
-    """The ambient profiler (the null profiler outside a profiled run)."""
-    return ACTIVE
-
-
-class _ProfilerActivation:
-    """Single-use CM that installs/restores the ambient profiler."""
-
-    __slots__ = ("_profiler", "_previous")
-
-    def __init__(self, profiler: NullProfiler):
-        self._profiler = profiler
-        self._previous: NullProfiler | None = None
-
-    def __enter__(self) -> NullProfiler:
-        global ACTIVE
-        self._previous = ACTIVE
-        ACTIVE = self._profiler
-        return self._profiler
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        global ACTIVE
-        ACTIVE = self._previous if self._previous is not None else NULL_PROFILER
-
-
-def activate_profiler(profiler: NullProfiler) -> _ProfilerActivation:
-    """Make ``profiler`` the ambient one for the ``with`` body."""
-    return _ProfilerActivation(profiler)
-
-
-class Profiler(NullProfiler):
+class Profiler:
     """Self-time stage accounting for one kernel run.
 
     Strict stack discipline: every :meth:`enter` is balanced by one
-    :meth:`exit` (call sites that can raise use ``try/finally``).  A
-    frame records its start on both clocks plus the time its *children*
+    :meth:`exit` (the stage wrappers use ``try/finally``).  A frame
+    records its start on both clocks plus the time its *children*
     consumed; at exit the difference is the stage's self time, so stage
     self-times tile the profiled window exactly (plus the explicit
     ``obs.profiler`` overhead and the unattributed remainder).
     """
-
-    enabled = True
 
     def __init__(self, clock: Any | None = None):
         self.clock = clock
@@ -171,6 +171,71 @@ class Profiler(NullProfiler):
         self._started_sim: float = 0.0
         self._total_ns = 0
         self._total_sim = 0.0
+
+    # -- installation ---------------------------------------------------------
+
+    @contextmanager
+    def installed(self, clock: Any | None = None) -> Iterator["Profiler"]:
+        """Profile the ``with`` body: wrap every :data:`STAGES` target.
+
+        Binds ``clock`` for sim-time attribution, wraps each target
+        (and every by-name copy of a wrapped function), then opens the
+        profiled window; on exit -- normal or through an exception --
+        closes the window and puts every original back.
+        """
+        self.bind_clock(clock)
+        resolved = [(stage, _resolve(target)) for stage in STAGES for target in stage.targets]
+        undo: list[tuple[Any, str, Any]] = []
+        wrapped: list[tuple[str, Any, Any]] = []
+        try:
+            for stage, (owner, attr) in resolved:
+                original = vars(owner)[attr]
+                wrapper = self._wrap(stage, original)
+                if isinstance(owner, type):
+                    undo.append((owner, attr, original))
+                    setattr(owner, attr, wrapper)
+                    continue
+                wrapped.append((attr, original, wrapper))
+                for module in _by_name_copies(attr, original):
+                    setattr(module, attr, wrapper)
+            self.start()
+            try:
+                yield self
+            finally:
+                self.stop()
+        finally:
+            for owner, attr, original in reversed(undo):
+                setattr(owner, attr, original)
+            # Swept rather than replayed: a module first imported inside
+            # the window copied the wrapper and must get the original too.
+            for attr, original, wrapper in wrapped:
+                for module in _by_name_copies(attr, wrapper):
+                    setattr(module, attr, original)
+
+    def _wrap(self, stage: Stage, function: Callable[..., Any]) -> Callable[..., Any]:
+        """``function`` timed as ``stage`` on this profiler."""
+        name = stage.name
+        if stage.flat:
+            add_flat = self.add_flat
+
+            def timed(*args: Any, **kwargs: Any) -> Any:
+                t0 = perf_counter_ns()
+                result = function(*args, **kwargs)
+                add_flat(name, perf_counter_ns() - t0)
+                return result
+
+            return update_wrapper(timed, function)
+        enter = self.enter
+        exit_ = self.exit
+
+        def staged(*args: Any, **kwargs: Any) -> Any:
+            enter(name)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                exit_()
+
+        return update_wrapper(staged, function)
 
     # -- clocks ---------------------------------------------------------------
 
@@ -239,8 +304,8 @@ class Profiler(NullProfiler):
     def add_flat(self, stage: str, wall_ns: int) -> None:
         """Attribute ``wall_ns`` directly to ``stage`` (no nesting).
 
-        The recorder's hot methods use this to charge their cost to the
-        ``obs.recorder`` stage; the enclosing stack frame is credited so
+        A ``flat`` stage's wrapper (the recorder's hot methods) charges
+        each call's cost here; the enclosing stack frame is credited so
         the caller's self time excludes it -- exactly the "distinct
         stage, not the caller's" rule the overhead stage follows.
         """

@@ -38,11 +38,9 @@ pays only an attribute read.
 from __future__ import annotations
 
 from bisect import bisect_left
-from time import perf_counter_ns
 from typing import Any, Iterator
 
 from repro.obs.context import MUTED_CONTEXT, TraceContext
-from repro.obs.prof import NULL_PROFILER
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -345,9 +343,6 @@ class NullRecorder:
     def bind_clock(self, clock: Any) -> None:
         pass
 
-    def attach_profiler(self, profiler: Any) -> None:
-        pass
-
     def now(self) -> float:
         return 0.0
 
@@ -457,7 +452,6 @@ class Recorder(NullRecorder):
         self._context_stack: list[TraceContext] = []
         self._trace_count = 0
         self._span_count = 0
-        self._profiler = NULL_PROFILER
         self._drop_keys: dict[MetricKey, MetricKey] = {}
 
     # -- clock ----------------------------------------------------------------
@@ -466,18 +460,6 @@ class Recorder(NullRecorder):
         """Adopt ``clock`` as the time source unless one is already set."""
         if self.clock is None:
             self.clock = clock
-
-    def attach_profiler(self, profiler: Any) -> None:
-        """Charge this recorder's bookkeeping to the profiler.
-
-        With a profiler attached, the recorder's hottest entry points
-        (span creation, gauge sampling, histogram observation) time
-        themselves and attribute their cost to the ``obs.recorder``
-        stage via :meth:`Profiler.add_flat` -- so telemetry overhead
-        shows up as telemetry overhead, never inflating whichever
-        kernel stage happened to be open around the call.
-        """
-        self._profiler = profiler
 
     def now(self) -> float:
         """Current simulated time (0.0 until a clock is bound)."""
@@ -528,15 +510,6 @@ class Recorder(NullRecorder):
         """
         self._gauge_set(_key(name, labels), name, value)
 
-    def _gauge_set(self, key: MetricKey, name: str, value: float) -> None:
-        profiler = self._profiler
-        if profiler.enabled:
-            t0 = perf_counter_ns()
-            self._gauge_set_impl(key, name, value)
-            profiler.add_flat("obs.recorder", perf_counter_ns() - t0)
-            return
-        self._gauge_set_impl(key, name, value)
-
     def _drop_counter_key(self, key: MetricKey, name: str) -> MetricKey:
         """The drop counter's key: the gauge name plus its full label set.
 
@@ -550,7 +523,7 @@ class Recorder(NullRecorder):
             cached = self._drop_keys[key] = _key("gauge_samples_dropped_total", labels)
         return cached
 
-    def _gauge_set_impl(self, key: MetricKey, name: str, value: float) -> None:
+    def _gauge_set(self, key: MetricKey, name: str, value: float) -> None:
         self._gauges[key] = value
         series = self._gauge_series.setdefault(key, [])
         stride = self._gauge_strides.get(key, 1)
@@ -586,18 +559,6 @@ class Recorder(NullRecorder):
     def _observe_key(
         self, key: MetricKey, name: str, value: float, buckets: tuple[float, ...] | None,
         exemplar_trace: str | None = None,
-    ) -> None:
-        profiler = self._profiler
-        if profiler.enabled:
-            t0 = perf_counter_ns()
-            self._observe_impl(key, name, value, buckets, exemplar_trace)
-            profiler.add_flat("obs.recorder", perf_counter_ns() - t0)
-            return
-        self._observe_impl(key, name, value, buckets, exemplar_trace)
-
-    def _observe_impl(
-        self, key: MetricKey, name: str, value: float, buckets: tuple[float, ...] | None,
-        exemplar_trace: str | None,
     ) -> None:
         histogram = self._histograms.get(key)
         if histogram is None:
@@ -635,17 +596,6 @@ class Recorder(NullRecorder):
         in ``obs_spans_dropped_total`` and surfaced by :meth:`snapshot`
         and the drive() stall report.
         """
-        profiler = self._profiler
-        if not profiler.enabled:
-            return self._span_impl(name, track, cat, parent, args)
-        t0 = perf_counter_ns()
-        span = self._span_impl(name, track, cat, parent, args)
-        profiler.add_flat("obs.recorder", perf_counter_ns() - t0)
-        return span
-
-    def _span_impl(
-        self, name: str, track: str, cat: str, parent: TraceContext | None, args: dict[str, Any],
-    ) -> Span:
         if parent is None:
             parent = self.current_context()
         if parent is MUTED_CONTEXT:

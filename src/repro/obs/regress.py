@@ -38,8 +38,10 @@ sample strides, host fingerprint) so a regression report can always say
 from __future__ import annotations
 
 import json
+import os
 import platform
 import subprocess
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -181,15 +183,28 @@ def append_run(
     """Append one run to the history at ``path`` and write it back.
 
     Keeps at most ``max_runs`` most-recent runs so the committed file
-    stays reviewable; returns the updated history.
+    stays reviewable; returns the updated history.  The file is replaced
+    atomically: the history is written to a temporary file beside it and
+    renamed over it, so a failed write leaves the old history intact.
     """
+    path = Path(path)
     history = load_history(path)
     history["runs"].append({"meta": meta, "families": families})
     if len(history["runs"]) > max_runs:
         history["runs"] = history["runs"][-max_runs:]
-    Path(path).write_text(
-        json.dumps(history, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    handle = tempfile.NamedTemporaryFile(
+        "w", encoding="utf-8", dir=path.parent, prefix=f".{path.name}.", suffix=".tmp", delete=False,
     )
+    try:
+        with handle:
+            json.dump(history, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        # A temporary file is private (0600); keep the history's mode.
+        os.chmod(handle.name, path.stat().st_mode if path.exists() else 0o644)
+        os.replace(handle.name, path)
+    except BaseException:
+        os.unlink(handle.name)
+        raise
     return history
 
 
@@ -253,7 +268,11 @@ def diff_runs(
 
     Only (family, users, batch_size) points present in **both** runs are
     compared -- a sweep that added a new scale point is growth, not
-    regression.  Batched points' metric names carry a ``[batch=N]``
+    regression.  Within a compared point, a profile stage of ``before``
+    missing from ``after`` is a ``fail`` finding
+    (``profile.<stage>.missing``) on any pair of hosts: stage presence is
+    deterministic, and a lost or renamed stage would otherwise drop out
+    of the gate unseen.  Batched points' metric names carry a ``[batch=N]``
     suffix so a finding always says which campaign regressed.
     """
     thresholds = thresholds or Thresholds()
@@ -270,6 +289,12 @@ def diff_runs(
         diff.wall(family, users, f"kernel_seconds{suffix}", a.get("kernel_seconds", 0.0), b.get("kernel_seconds", 0.0))
         stages_a = (a.get("profile") or {}).get("stages", {})
         stages_b = (b.get("profile") or {}).get("stages", {})
+        for stage in sorted(set(stages_a) - set(stages_b)):
+            diff.compared += 1
+            diff.findings.append(Finding(
+                "fail", family, users, f"profile.{stage}.missing{suffix}",
+                stages_a[stage].get("wall_seconds", 0.0), 0.0,
+            ))
         for stage in sorted(set(stages_a) & set(stages_b)):
             diff.wall(
                 family,

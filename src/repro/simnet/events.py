@@ -22,7 +22,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.obs.prof import NULL_PROFILER
 from repro.obs.recorder import NULL_RECORDER, NullRecorder
 from repro.simnet.clock import SimClock
 
@@ -132,8 +131,6 @@ class EventQueue:
         self.recorder = NULL_RECORDER
         self._label_handles: dict[str, tuple[Any, Any, Any]] = {}
         self._depth_gauge = NULL_RECORDER.gauge_handle("sim_queue_depth")
-        self._profiler = NULL_PROFILER
-        self._stage_cache: dict[str, str] = {}
         if recorder is not None:
             self.attach_recorder(recorder)
 
@@ -147,19 +144,6 @@ class EventQueue:
         recorder.bind_clock(self.clock)
         self._label_handles.clear()
         self._depth_gauge = recorder.gauge_handle("sim_queue_depth")
-
-    def attach_profiler(self, profiler: Any) -> None:
-        """Attribute this queue's dispatch loop to ``profiler``.
-
-        Every :meth:`step` then splits into the ``simnet.dispatch``
-        stage (heap pop, clock advance, event telemetry) and a
-        label-derived callback stage (``chain.block``, ``chain.confirm``
-        or ``event.<label>``), on both the wall-clock and sim-time axes.
-        Profiling only reads clocks; event order and results are
-        byte-identical with it on or off.
-        """
-        self._profiler = profiler
-        profiler.bind_clock(self.clock)
 
     def _handles_for(self, label: str) -> tuple[Any, Any, Any]:
         """Cached (scheduled, fired, cancelled) counter handles per label.
@@ -287,26 +271,11 @@ class EventQueue:
         pending.sort()
         return [label for _, _, label in pending]
 
-    def _stage_for(self, label: str) -> str:
-        """The profile stage a callback with ``label`` attributes to."""
-        stage = self._stage_cache.get(label)
-        if stage is None:
-            if label.endswith("-block"):
-                stage = "chain.block"
-            elif label == "confirm":
-                stage = "chain.confirm"
-            else:
-                stage = f"event.{label or 'unlabelled'}"
-            self._stage_cache[label] = stage
-        return stage
-
     def step(self) -> ScheduledEvent | None:
         """Fire the earliest pending event, advancing the clock to it.
 
         Returns the fired event, or None if the queue is empty.
         """
-        if self._profiler.enabled:
-            return self._step_profiled()
         while self._heap:
             event = heapq.heappop(self._heap)
             if event.cancelled:
@@ -336,49 +305,6 @@ class EventQueue:
                 watcher(exc, label or "<unlabelled>")
             except Exception:
                 pass  # a broken watcher must not mask the original error
-
-    def _step_profiled(self) -> ScheduledEvent | None:
-        """:meth:`step` with stage attribution (profiled runs only).
-
-        Same pops, same clock advance, same callback order -- the only
-        additions are clock reads.  Dispatch bookkeeping lands in the
-        ``simnet.dispatch`` stage (including the sim-time jump to the
-        event's fire time); the callback runs under its label's stage.
-        """
-        profiler = self._profiler
-        profiler.enter("simnet.dispatch")
-        event = None
-        try:
-            while self._heap:
-                candidate = heapq.heappop(self._heap)
-                if candidate.cancelled:
-                    continue  # its cancellation already left the live count
-                event = candidate
-                break
-            if event is None:
-                return None
-            self._live -= 1
-            event.queue = None  # a late cancel() must not re-decrement
-            self.clock.advance_to(event.time)
-            recorder = self.recorder
-            if recorder.enabled:
-                self._handles_for(event.label)[1].add()
-                self._depth_gauge.set(self._live)
-        finally:
-            profiler.exit()
-        profiler.enter(self._stage_for(event.label))
-        try:
-            if event.context is not None:
-                with self.recorder.activate(event.context):
-                    event.callback()
-            else:
-                event.callback()
-        except Exception as exc:
-            self._notify_exception(exc, event.label)
-            raise
-        finally:
-            profiler.exit()
-        return event
 
     def run_until(self, timestamp: float) -> int:
         """Fire every event due at or before ``timestamp``; return the count.

@@ -102,9 +102,9 @@ class TestProfiledTenThousandUsers:
         )
         total = profile["total_wall_seconds"]
         assert accounted == pytest.approx(total, rel=0.01)
-        # Dispatch must carry (nearly all of) the simulated time, and
-        # the kernel's compute stages must all have run.
-        assert profile["stages"]["simnet.dispatch"]["sim_seconds"] > 0
+        # The event step must carry (nearly all of) the simulated time,
+        # and the kernel's compute stages must all have run.
+        assert profile["stages"]["simnet.step"]["sim_seconds"] > 0
         for stage in ("vm.execute", "mempool.schedule", "crypto.comb",
                       "chain.submit", "obs.recorder", "obs.profiler"):
             assert profile["stages"][stage]["wall_seconds"] > 0, stage

@@ -6,12 +6,10 @@ import pytest
 
 from repro.obs.prof import (
     HANDICAP_ENV,
-    NULL_PROFILER,
-    NullProfiler,
+    STAGES,
     Profiler,
     _apply_handicap,
-    activate_profiler,
-    get_profiler,
+    _resolve,
     to_collapsed,
     to_profile_chrome_trace,
     to_speedscope,
@@ -102,16 +100,16 @@ class TestStageAccounting:
     def test_recursive_stage_accumulates(self):
         profiler = Profiler()
         profiler.start()
-        profiler.enter("dht.op")
-        profiler.enter("dht.op")  # query_area -> lookup nests dht.op
+        profiler.enter("core.submit")
+        profiler.enter("core.submit")  # BatchAggregator.drain -> flush_all
         profiler.exit()
         profiler.exit()
         profiler.stop()
         profile = profiler.profile()
-        assert profile["stages"]["dht.op"]["calls"] == 2
+        assert profile["stages"]["core.submit"]["calls"] == 2
         paths = profiler.path_totals()
-        assert ("dht.op",) in paths
-        assert ("dht.op", "dht.op") in paths
+        assert ("core.submit",) in paths
+        assert ("core.submit", "core.submit") in paths
 
 
 class TestOverheadAccounting:
@@ -200,33 +198,109 @@ class TestHandicap:
         assert _apply_handicap("a:+1,s:x2", "s", 2.0) == 4.0
 
 
-class TestNullProfilerAndActivation:
-    def test_null_profiler_is_inert(self):
-        NULL_PROFILER.start()
-        NULL_PROFILER.enter("s")
-        NULL_PROFILER.add_flat("s", 10)
-        NULL_PROFILER.exit()
-        NULL_PROFILER.stop()
-        assert NULL_PROFILER.profile() == {}
-        assert NULL_PROFILER.enabled is False
+def table_targets() -> dict[tuple[int, str], object]:
+    """Every table target plus the by-name copies of the crypto functions.
 
-    def test_profiler_is_a_null_profiler_subtype(self):
-        assert isinstance(Profiler(), NullProfiler)
+    Keyed by ``(id(owner), attr)`` so two modules holding the same name
+    stay distinct entries.
+    """
+    from repro.crypto import keys, vrf
 
-    def test_activation_installs_and_restores(self):
+    current = {}
+    for stage in STAGES:
+        for target in stage.targets:
+            owner, attr = _resolve(target)
+            current[(id(owner), attr)] = vars(owner)[attr]
+    for module in (keys, vrf):
+        for attr in ("g_pow", "p_pow"):
+            current[(id(module), attr)] = vars(module)[attr]
+    return current
+
+
+class TestInstalled:
+    def test_installed_restores_every_target(self):
+        originals = table_targets()
         profiler = Profiler()
-        assert get_profiler() is NULL_PROFILER
-        with activate_profiler(profiler) as active:
+        with profiler.installed(SimClock()) as active:
             assert active is profiler
-            assert get_profiler() is profiler
-        assert get_profiler() is NULL_PROFILER
+            inside = table_targets()
+            for key, original in originals.items():
+                assert inside[key] is not original, key
+                assert inside[key].__wrapped__ is original, key
+        after = table_targets()
+        assert all(after[key] is original for key, original in originals.items())
 
-    def test_activation_restores_on_exception(self):
+    def test_installed_restores_on_exception(self):
+        originals = table_targets()
         profiler = Profiler()
         with pytest.raises(RuntimeError):
-            with activate_profiler(profiler):
+            with profiler.installed():
                 raise RuntimeError("boom")
-        assert get_profiler() is NULL_PROFILER
+        after = table_targets()
+        assert all(after[key] is original for key, original in originals.items())
+        assert profiler.profile()["total_wall_seconds"] > 0  # window closed
+
+    def test_copy_taken_inside_the_window_is_restored(self):
+        import sys
+        import types
+
+        from repro.crypto import fastexp
+
+        original = fastexp.g_pow
+        late = types.ModuleType("repro._late_importer")
+        sys.modules[late.__name__] = late
+        try:
+            with Profiler().installed():
+                late.g_pow = fastexp.g_pow  # a first import inside the window
+                assert late.g_pow is not original
+            assert late.g_pow is original
+        finally:
+            del sys.modules[late.__name__]
+
+    def test_wrapped_calls_enter_their_stages(self):
+        from repro.crypto.keys import KeyPair
+        from repro.obs.recorder import Recorder
+
+        keypair = KeyPair.from_seed(b"prof-test")
+        recorder = Recorder(SimClock())
+        profiler = Profiler()
+        with profiler.installed():
+            signature = keypair.sign(b"message")
+            recorder.span("probe").end()
+        assert keypair.public.verify(b"message", signature)  # unwrapped again
+        stages = profiler.profile()["stages"]
+        assert stages["crypto.sign"]["calls"] == 1
+        assert stages["crypto.comb"]["calls"] == 1
+        assert ("crypto.sign", "crypto.comb") in profiler.path_totals()
+        assert "crypto.verify" not in stages
+        # Flat stage: counted, but never an enter/exit pair.
+        assert stages["obs.recorder"]["calls"] == 1
+        assert stages["obs.profiler"]["calls"] == 4
+
+
+class TestProfiledRunParity:
+    """A profiled campaign reports exactly what an unprofiled one does.
+
+    EVM fee totals may drift by a few calldata bytes between any two
+    runs (random witness nonces), as in the population-store parity
+    tests; every other summary quantity must match.
+    """
+
+    @pytest.mark.parametrize("network", ["goerli", "algorand-testnet"])
+    def test_profiled_summary_matches_unprofiled(self, network):
+        from repro.bench.simulation import run_traced_journeys
+        from repro.obs.analysis import bench_summary
+
+        plain = bench_summary(*run_traced_journeys(network, 16, seed=1))
+        profiler = Profiler()
+        profiled = bench_summary(*run_traced_journeys(network, 16, seed=1, profiler=profiler))
+        drift = [key for key in plain if profiled[key] != plain[key]]
+        allowed = ([], ["fees_base_units_total"]) if network == "goerli" else ([],)
+        assert drift in allowed, drift
+        assert profiled["journeys"] == 16
+        stages = profiler.profile()["stages"]
+        for stage in ("simnet.step", "vm.execute", "chain.submit", "reach.lint", "core.submit"):
+            assert stages[stage]["calls"] > 0, stage
 
 
 def profiled_fixture() -> Profiler:

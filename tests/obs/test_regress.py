@@ -3,6 +3,8 @@
 import copy
 import json
 
+import pytest
+
 from repro.__main__ import main
 from repro.obs.regress import (
     HISTORY_VERSION,
@@ -84,6 +86,16 @@ class TestHistoryFile:
         # The write is round-trippable and stays v2.
         assert load_history(path)["version"] == HISTORY_VERSION
 
+    def test_failed_write_leaves_the_history_intact(self, tmp_path):
+        path = tmp_path / "bench.json"
+        meta = {"git_sha": "sha0", "seed": 1, "users": [16], "networks": [], "host": "h"}
+        append_run(path, meta, {"evm": {"network": "goerli", "points": [make_point()]}})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            append_run(path, meta, {"evm": {"network": "goerli", "points": [make_point(users=object())]}})
+        assert path.read_bytes() == before
+        assert [entry.name for entry in tmp_path.iterdir()] == ["bench.json"]
+
     def test_run_meta_captures_host_and_sha(self):
         meta = run_meta(7, [16, 1000], ["goerli"])
         assert meta["seed"] == 7
@@ -153,6 +165,15 @@ class TestDiffRuns:
         after = make_run(journeys=15)
         findings, _ = diff_runs(before, after)
         assert any(f.metric == "journeys" and f.severity == "fail" for f in findings)
+
+    def test_missing_stage_fails_even_across_hosts(self):
+        before = make_run(host="laptop")
+        after = make_run(host="ci")
+        del after["families"]["evm"]["points"][0]["profile"]["stages"]["crypto.comb"]
+        findings, _ = diff_runs(before, after)
+        assert [(f.severity, f.metric) for f in findings] == [("fail", "profile.crypto.comb.missing")]
+        # A stage that only the newer run has is growth, not a finding.
+        assert diff_runs(after, before)[0] == []
 
     def test_only_intersecting_points_compared(self):
         before = make_run(users=16)
