@@ -24,6 +24,9 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
+from repro.chain.algorand.avm import AVM
+from repro.chain.ethereum.evm import EVM
+from repro.core.contract import build_pol_program
 from repro.reach.absint.lint import Finding
 from repro.reach.absint.modelcheck import (
     _CACHE,
@@ -149,6 +152,57 @@ class TestDeterminism:
             assert report.space_match
             assert report.evm.states == report.avm.states
             assert report.evm.space_digest == report.avm.space_digest
+
+
+class TestSweepPins:
+    """The checker's exact work, so a speed-up cannot come from doing less."""
+
+    @pytest.mark.parametrize(
+        ("build", "states", "transitions", "digest"),
+        [
+            (
+                lambda: compile_program(build_pol_program(max_users=4)),
+                1341,
+                8998,
+                "36a629278333d1c085b864c28930a06965f9134d91cb049ced872494404a9a48",
+            ),
+            (
+                lambda: compile_program(build_pol_program(max_users=16)),
+                961,
+                6326,
+                "1c23b3f35640796a187e4b8ebb014fe1743f2071861b7928190a4431a078f0c5",
+            ),
+            (
+                lambda: compiled_from(CROWDFUNDING),
+                59,
+                191,
+                "6bd09b93f9305355fb0be59f5de8eca17e17321c4a6c6157acf485e397b1870e",
+            ),
+        ],
+        ids=["pol-4", "pol-16", "crowdfunding"],
+    )
+    def test_states_transitions_and_space_digest(self, build, states, transitions, digest):
+        report = check_protocol(build())
+        for run in (report.evm, report.avm):
+            assert (run.states, run.transitions, run.space_digest.hex()) == (
+                states,
+                transitions,
+                digest,
+            )
+
+    def test_vm_executions_in_one_cold_default_lint(self, monkeypatch):
+        compiled = compile_program(build_pol_program())
+        monkeypatch.setattr("repro.reach.absint.modelcheck._CACHE", {})
+        counts = {"avm": 0, "evm": 0}
+        for name, vm in (("avm", AVM), ("evm", EVM)):
+
+            def counted(self, *args, _name=name, _execute=vm.execute, **kwargs):
+                counts[_name] += 1
+                return _execute(self, *args, **kwargs)
+
+            monkeypatch.setattr(vm, "execute", counted)
+        compiled.lint_report()
+        assert counts == {"avm": 10_091, "evm": 10_091}
 
 
 class TestPartialOrderReduction:
