@@ -76,24 +76,23 @@ def scalar_names(ir: IRContract) -> list[str]:
     return [*ir.globals_init.keys(), "_phase", "_deadline", "_creator"]
 
 
-def state_digest(
-    scalars: Iterable[tuple[str, bytes]],
-    maps: Iterable[tuple[tuple[int, int], bytes | None]],
-    balance: int,
-    now: int,
-) -> bytes:
+def scalar_field(name: str) -> bytes:
+    """The :func:`state_digest` field prefix of scalar ``name``."""
+    return b"s:" + name.encode() + b"="
+
+
+def map_field(slot: int, key: int) -> bytes:
+    """The :func:`state_digest` field prefix of Map ``slot`` at ``key``."""
+    return b"m:%d:%d=" % (slot, key)
+
+
+def state_digest(fields: Iterable[bytes], balance: int, now: int) -> bytes:
     """One canonical hash over the full observable contract state.
 
-    ``scalars`` and ``maps`` must be iterated in a deterministic order
-    (the model checker passes sorted items); absent Map entries encode
-    as a fixed absence marker so "deleted" and "never written" hash
-    identically.
+    Each field is a :func:`scalar_field` or :func:`map_field` prefix
+    followed by the :func:`canon` value: every scalar, then every
+    *present* Map entry, each in a deterministic order (the model
+    checker keeps both sorted).  Absent Map entries are left out, so
+    "deleted" and "never written" hash identically.
     """
-    parts: list[bytes] = []
-    for name, value in scalars:
-        parts.append(b"s:" + name.encode() + b"=" + value + b";")
-    for (slot, key), value in maps:
-        marker = b"\x00<absent>" if value is None else value
-        parts.append(b"m:%d:%d=" % (slot, key) + marker + b";")
-    parts.append(b"b:%d;t:%d" % (balance, now))
-    return sha256(b"".join(parts))
+    return sha256(b";".join([*fields, b"b:%d;t:%d" % (balance, now)]))
