@@ -379,6 +379,23 @@ def _traced_request(system, recorder, name, witness, index, sample_every):
     return system.request_location_proof(name, witness, f"report by {name}".encode())
 
 
+#: traced-campaign groups per column of the placement grid
+GROUPS_PER_COLUMN = 4_000
+
+
+def group_position(group: int) -> tuple[float, float]:
+    """Where the traced campaign's group ``group`` stands (lat, lng).
+
+    Groups step 0.01 degrees (~1.1 km) north of Bologna, so each has
+    its own OLC cell and contract.  Every ``GROUPS_PER_COLUMN`` groups
+    the column steps 0.01 degrees east and restarts at the base
+    latitude, which keeps a 100k-user run below 85 degrees north;
+    groups in the first column keep the single-column placement.
+    """
+    column, row = divmod(group, GROUPS_PER_COLUMN)
+    return 44.4949 + 0.01 * row, 11.3426 + 0.01 * column
+
+
 def _run_traced_workload(
     chain, recorder, user_count, reward, sample_every, population, batch_size=None,
     watchtower=None,
@@ -419,18 +436,17 @@ def _run_traced_workload(
     if population:
         system.use_population_store()
     funding = chain.profile.simulation_funding
-    base_lat, base_lng = 44.4949, 11.3426
     for group in range((users + per_group - 1) // per_group):
-        # ~1.1 km apart: distinct OLC cells, one contract per group; the
-        # group's witness sits ~22 m away, inside Bluetooth range.
-        system.register_witness(f"witness-{group}", base_lat + 0.01 * group, base_lng + 0.0002)
+        # The group's witness sits ~16 m east, inside Bluetooth range.
+        latitude, longitude = group_position(group)
+        system.register_witness(f"witness-{group}", latitude, longitude + 0.0002)
     # The verifier pays contract funding plus gas for one verify per
     # user; scale its faucet with the population (a fixed stipend runs
     # dry around a few thousand users).
     system.register_verifier("verifier", funding=funding * max(1, users))
     names = [f"user-{index:03d}" for index in range(users)]
     for index, name in enumerate(names):
-        system.register_prover(name, base_lat + 0.01 * (index // per_group), base_lng, funding=funding)
+        system.register_prover(name, *group_position(index // per_group), funding=funding)
 
     def prove(index: int):
         request, proof, _cid = _traced_request(

@@ -4,7 +4,11 @@ import pytest
 
 from repro.bench import generate_workload, run_simulation, summarize
 from repro.bench.metrics import render_bar_chart, render_table
-from repro.bench.workload import THESIS_LOCATIONS, find_neighbours
+from repro.bench.simulation import GROUPS_PER_COLUMN, group_position
+from repro.bench.workload import THESIS_LOCATIONS, USERS_PER_CONTRACT, find_neighbours
+from repro.core.bluetooth import DEFAULT_RANGE_M
+from repro.geo.distance import haversine_km
+from repro.geo.olc import encode as olc_encode, is_valid
 
 
 class TestWorkload:
@@ -39,6 +43,30 @@ class TestWorkload:
             generate_workload(64)
         with pytest.raises(ValueError):
             generate_workload(0)
+
+
+class TestGroupPlacement:
+    """Where the traced campaign (``repro analyze``) puts each group."""
+
+    def test_first_column_keeps_the_single_column_coordinates(self):
+        # every analyze point up to 10k users places fewer than 4,000 groups
+        assert GROUPS_PER_COLUMN >= 10_000 // USERS_PER_CONTRACT
+        for group in range(GROUPS_PER_COLUMN):
+            assert group_position(group) == (44.4949 + 0.01 * group, 11.3426)
+
+    def test_100k_unbatched_groups_get_their_own_valid_cells(self):
+        groups = 100_000 // USERS_PER_CONTRACT
+        cells = set()
+        for group in range(groups):
+            latitude, longitude = group_position(group)
+            assert latitude < 90.0
+            prover_cell = olc_encode(latitude, longitude)
+            witness_cell = olc_encode(latitude, longitude + 0.0002)
+            assert is_valid(prover_cell)
+            assert witness_cell[:8] == prover_cell[:8]
+            assert haversine_km(latitude, longitude, latitude, longitude + 0.0002) * 1000 < DEFAULT_RANGE_M
+            cells.add(prover_cell)
+        assert len(cells) == groups
 
 
 class TestSimulation:
