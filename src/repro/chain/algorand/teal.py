@@ -60,13 +60,13 @@ class TealProgram:
 
 
 #: ops taking a label immediate, resolved to instruction indices
-_BRANCH_OPS = {"b", "bz", "bnz", "callsub"}
+BRANCH_OPS = {"b", "bz", "bnz", "callsub"}
 #: ops taking one integer immediate
 _INT_OPS = {"int", "txna_index"}
 #: ops with a free-form string immediate
 _FIELD_OPS = {"txn", "global"}
 
-_ZERO_ARG_OPS = {
+ZERO_ARG_OPS = {
     "pop", "dup", "dup2", "swap", "+", "-", "*", "/", "%", "<", ">", "<=", ">=",
     "==", "!=", "&&", "||", "!", "concat", "itob", "btoi", "len", "sha256",
     "assert", "err", "return", "retsub", "app_global_put", "app_global_get",
@@ -130,7 +130,7 @@ def _tokenize(line: str, line_number: int) -> list[str]:
 
 
 def _resolve(op: str, args: tuple, labels: dict[str, int], line_number: int) -> TealInstr:
-    if op in _ZERO_ARG_OPS:
+    if op in ZERO_ARG_OPS:
         if args:
             raise TealSyntaxError(f"line {line_number}: {op} takes no immediates")
         return TealInstr(op=op)
@@ -162,7 +162,7 @@ def _resolve(op: str, args: tuple, labels: dict[str, int], line_number: int) -> 
         if len(args) != 2:
             raise TealSyntaxError(f"line {line_number}: txna takes a field and an index")
         return TealInstr(op="txna", args=(args[0], int(args[1])))
-    if op in _BRANCH_OPS:
+    if op in BRANCH_OPS:
         if len(args) != 1:
             raise TealSyntaxError(f"line {line_number}: {op} takes a label")
         target = args[0]
